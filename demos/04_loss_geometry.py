@@ -10,8 +10,8 @@ import math
 
 import numpy as np
 
-from ecgauth import ClassGeometry, compute_medoid, contrastive_loss, prototype_prob
-from ecgauth.losses import repulsion_loss
+from ecgauth import compute_medoid, contrastive_loss, prototype_prob
+from ecgauth.losses import repulsion_loss_grad
 
 # --- contrastive closed forms ------------------------------------------
 # two identical (signal, report) pairs: every similarity is 1, each
@@ -47,13 +47,13 @@ for q, p in zip(queries, probs):
 # plus a margin R; enrolled features pay for dimension-averaged squared
 # distance beyond R, which keeps them inside a bounded shell around the
 # reciprocal and so bounds the region left over for unknowns
-geometry = {
-    1: ClassGeometry(center=np.zeros(2), prototype=np.zeros(2),
-                     reciprocal=np.array([2.0, 0.0]), margin=1.0),
-}
+# (one enrolled class: reciprocal point (2, 0), margin 1)
+reciprocal = np.array([[2.0, 0.0]])
+margin = np.array([1.0])
 near = np.array([[1.9, 0.0]])      # d^2/dim = 0.005, well inside the margin
 far_away = np.array([[-2.0, 0.0]])  # d^2/dim = 8.0, far beyond it
-print(f"repulsion near point : {repulsion_loss(near, [1], geometry):.4f} "
-      f"(within margin, hinge inactive)")
-print(f"repulsion far away   : {repulsion_loss(far_away, [1], geometry):.4f} "
+near_loss = repulsion_loss_grad(near, reciprocal, margin)[0]
+far_loss = repulsion_loss_grad(far_away, reciprocal, margin)[0]
+print(f"repulsion near point : {near_loss:.4f} (within margin, hinge inactive)")
+print(f"repulsion far away   : {far_loss:.4f} "
       f"(beyond margin, pulled back toward the shell)")

@@ -60,9 +60,8 @@ from .losses import (
     compute_medoid,
     contrastive_loss,
     prototype_prob,
-    total_loss,
 )
-from .training import TrainConfig, TrainReport, finetune, pretrain, recompute_centers
+from .training import TrainConfig, TrainReport, finetune, pretrain
 from .authsys import (
     Decision,
     Registry,
@@ -83,7 +82,6 @@ from .metrics import (
     fpr,
     oscr,
     tnr,
-    write_curve_csv,
     write_embeddings_csv,
 )
 from .pipeline import (

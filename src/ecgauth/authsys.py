@@ -10,8 +10,10 @@ the geometry stacked into extra tensors and the threshold in metadata.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +22,8 @@ from .encoder import ModelParams, encode_signal_batch, load_container, save_cont
 from .errors import CheckpointFormatError, InputError, ParameterError
 from .losses import ClassGeometry, prototype_prob
 from .training import TrainConfig, finetune
+
+logger = logging.getLogger("ecgauth.authsys")
 
 _FALLBACK_THRESHOLD = 0.5
 _ACCEPT_RATE = 0.95
@@ -79,16 +83,8 @@ class Registry:
 
 def _config_digest(cfg: TrainConfig, params: ModelParams) -> str:
     doc = {
-        "batch_size": cfg.batch_size,
-        "epochs": cfg.epochs,
-        "learning_rate": cfg.learning_rate,
-        "optimizer": cfg.optimizer,
-        "weights": [cfg.weights.alpha, cfg.weights.beta, cfg.weights.gamma,
-                    cfg.weights.tau],
-        "seed": cfg.seed,
-        "encoder": [params.config.n_blocks, list(params.config.channels),
-                    params.config.kernel_size, params.config.embed_dim,
-                    params.config.proj_dim],
+        "train": dataclasses.asdict(cfg),
+        "encoder": dataclasses.asdict(params.config),
         "input_length": params.input_length,
     }
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
@@ -169,6 +165,9 @@ def calibrate_threshold(registry: Registry, validation) -> float:
         if (correct & (probs >= cand)).sum() / n >= _ACCEPT_RATE:
             return float(min(max(cand, _THRESHOLD_MARGIN),
                              1.0 - _THRESHOLD_MARGIN))
+    logger.warning("no threshold keeps %.0f%% of %d validation samples "
+                   "correctly accepted; falling back to %s",
+                   100 * _ACCEPT_RATE, n, _FALLBACK_THRESHOLD)
     return _FALLBACK_THRESHOLD
 
 

@@ -18,7 +18,7 @@ Exit codes:
   1  unexpected failure
   2  invalid configuration or command line
   3  missing upstream artifact (run the producing command first)
-  4  invalid input data (unreadable record, malformed values)
+  4  invalid input data (unreadable record or corpus manifest, malformed values)
   5  corrupt or incompatible checkpoint/registry file
   6  internal state error
 """
@@ -212,7 +212,7 @@ def main(argv=None) -> int:
         if args.config is not None:
             cfg = pipeline.config_from_path(args.config)
         else:
-            cfg = pipeline.config_from_dict(pipeline.default_config_dict())
+            cfg = pipeline.RunConfig()
         if args.seed is not None:
             cfg = dataclasses.replace(cfg, seed=args.seed)
         if args.out is not None:

@@ -16,6 +16,7 @@ metadata section.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -32,7 +33,6 @@ from .errors import (
     InputError,
     ParameterError,
     ShapeError,
-    StateError,
 )
 
 #: Dimension of the hashed bag-of-tokens report vector.
@@ -103,12 +103,12 @@ class ModelParams:
 
 
 class DualEncoder:
-    """Layer graph for one (config, input_length) pair, with backward tapes.
+    """Layer graph for one (config, input_length) pair.
 
-    ``forward_signal``/``forward_report`` record the intermediate activations
-    needed for reverse-mode differentiation; the matching ``backward_*`` call
-    consumes that tape and returns per-tensor gradients. Calling backward
-    without a recorded forward raises StateError.
+    ``forward_signal``/``forward_report`` return their output together with
+    a tape of the intermediate activations needed for reverse-mode
+    differentiation; the matching ``backward_*`` call takes that tape and
+    returns per-tensor gradients. The model itself holds no per-call state.
     """
 
     def __init__(self, config: EncoderConfig, input_length: int):
@@ -142,9 +142,6 @@ class DualEncoder:
             nn.Linear("proj_r.fc1", d, d), nn.ReLU(),
             nn.Linear("proj_r.fc2", d, p), nn.L2Normalize(),
         ])
-
-        self._sig_tape = None
-        self._rep_tape = None
 
     # ------------------------------------------------------------------
     # initialization
@@ -184,39 +181,36 @@ class DualEncoder:
         return x
 
     def forward_signal(self, mp: ModelParams, x: np.ndarray, train: bool = True,
-                       project: bool = False) -> np.ndarray:
-        """Embed (and optionally project) a batch of segments, recording a tape."""
+                       project: bool = False):
+        """Embed (and optionally project) a batch of segments -> (output, tape)."""
         x = self._check_batch(x)
         h, tape = self.signal_chain.forward(mp.params, mp.buffers, x[:, None, :], train)
         proj_tape = None
         if project:
             h, proj_tape = self.signal_proj.forward(mp.params, mp.buffers, h, train)
-        self._sig_tape = (tape, proj_tape)
-        return h
+        return h, (tape, proj_tape)
 
-    def backward_signal(self, mp: ModelParams, d_out: np.ndarray) -> dict[str, np.ndarray]:
+    def backward_signal(self, mp: ModelParams, d_out: np.ndarray,
+                        tape) -> dict[str, np.ndarray]:
         """Gradients of a scalar loss w.r.t. signal-branch tensors.
 
-        ``d_out`` is the loss gradient at the output of the recorded forward
-        pass (projected or embedding space, matching the forward call).
+        ``d_out`` is the loss gradient at the output of the forward pass that
+        returned ``tape`` (projected or embedding space, matching that call).
         """
-        if self._sig_tape is None:
-            raise StateError("backward_signal requires a preceding forward_signal")
-        tape, proj_tape = self._sig_tape
-        self._sig_tape = None
+        chain_tape, proj_tape = tape
         grads: dict[str, np.ndarray] = {}
         d = np.asarray(d_out, dtype=np.float64)
         if proj_tape is not None:
             d = self.signal_proj.backward(mp.params, d, proj_tape, grads)
-        self.signal_chain.backward(mp.params, d, tape, grads)
+        self.signal_chain.backward(mp.params, d, chain_tape, grads)
         return grads
 
     # ------------------------------------------------------------------
     # report branch
 
     def forward_report(self, mp: ModelParams, hashed: np.ndarray, train: bool = True,
-                       project: bool = False) -> np.ndarray:
-        """Map hashed report vectors to embeddings (optionally projected)."""
+                       project: bool = False):
+        """Embed (and optionally project) hashed report vectors -> (output, tape)."""
         hashed = np.asarray(hashed, dtype=np.float64)
         if hashed.ndim != 2 or hashed.shape[1] != REPORT_HASH_DIM:
             raise ShapeError(f"hashed reports must be (batch, {REPORT_HASH_DIM})")
@@ -224,19 +218,16 @@ class DualEncoder:
         proj_tape = None
         if project:
             h, proj_tape = self.report_proj.forward(mp.params, mp.buffers, h, train)
-        self._rep_tape = (tape, proj_tape)
-        return h
+        return h, (tape, proj_tape)
 
-    def backward_report(self, mp: ModelParams, d_out: np.ndarray) -> dict[str, np.ndarray]:
-        if self._rep_tape is None:
-            raise StateError("backward_report requires a preceding forward_report")
-        tape, proj_tape = self._rep_tape
-        self._rep_tape = None
+    def backward_report(self, mp: ModelParams, d_out: np.ndarray,
+                        tape) -> dict[str, np.ndarray]:
+        chain_tape, proj_tape = tape
         grads: dict[str, np.ndarray] = {}
         d = np.asarray(d_out, dtype=np.float64)
         if proj_tape is not None:
             d = self.report_proj.backward(mp.params, d, proj_tape, grads)
-        self.report_linear.backward(mp.params, d, tape, grads)
+        self.report_linear.backward(mp.params, d, chain_tape, grads)
         return grads
 
 
@@ -264,19 +255,12 @@ def encode_signal_batch(mp: ModelParams, x: np.ndarray) -> np.ndarray:
     per-window, so chunking never changes the result.
     """
     model = build_model(mp)
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] <= _ENCODE_CHUNK:
-        out = model.forward_signal(mp, x, train=False, project=False)
-        model._sig_tape = None
-        return out
-    parts = []
-    for start in range(0, x.shape[0], _ENCODE_CHUNK):
-        parts.append(
-            model.forward_signal(mp, x[start : start + _ENCODE_CHUNK],
-                                 train=False, project=False)
-        )
-        model._sig_tape = None
+    x = model._check_batch(x)
+    # an empty batch still makes one call, so it keeps its (0, embed_dim) shape
+    parts = [model.forward_signal(mp, x[start : start + _ENCODE_CHUNK], train=False)[0]
+             for start in range(0, max(x.shape[0], 1), _ENCODE_CHUNK)]
     return np.concatenate(parts, axis=0)
+
 
 def encode_signal(mp: ModelParams, segment) -> np.ndarray:
     """Inference-mode embedding of one beat segment (pure per-sample map)."""
@@ -311,9 +295,7 @@ def hash_reports(texts) -> np.ndarray:
 
 def encode_report(mp: ModelParams, text: str) -> np.ndarray:
     """Inference-mode embedding of one report text."""
-    model = build_model(mp)
-    out = model.forward_report(mp, hash_report(text)[None, :], train=False)
-    model._rep_tape = None
+    out, _ = build_model(mp).forward_report(mp, hash_report(text)[None, :], train=False)
     return out[0]
 
 
@@ -358,13 +340,7 @@ def save_container(path, kind: str, mp: ModelParams,
     header = {
         "format_version": _FORMAT_VERSION,
         "kind": kind,
-        "encoder": {
-            "n_blocks": mp.config.n_blocks,
-            "channels": list(mp.config.channels),
-            "kernel_size": mp.config.kernel_size,
-            "embed_dim": mp.config.embed_dim,
-            "proj_dim": mp.config.proj_dim,
-        },
+        "encoder": dataclasses.asdict(mp.config),
         "input_length": mp.input_length,
         "manifest": _manifest_for(mp, extra_tensors),
         "metadata": metadata or {},
@@ -421,13 +397,12 @@ def load_container(path, expected_kind: str):
     try:
         manifest = header["manifest"]
         payload = sum(int(np.prod(e["shape"], dtype=np.int64)) for e in manifest) * 8
-        config = EncoderConfig(
-            n_blocks=header["encoder"]["n_blocks"],
-            channels=tuple(header["encoder"]["channels"]),
-            kernel_size=header["encoder"]["kernel_size"],
-            embed_dim=header["encoder"]["embed_dim"],
-            proj_dim=header["encoder"]["proj_dim"],
-        )
+        section = header["encoder"]
+        if set(section) != {f.name for f in dataclasses.fields(EncoderConfig)}:
+            raise CheckpointFormatError(
+                f"{path}: encoder header keys {sorted(section)} do not match "
+                "the encoder configuration fields")
+        config = EncoderConfig(**section)
         input_length = int(header["input_length"])
     except (KeyError, TypeError, ValueError, ParameterError) as exc:
         raise CheckpointFormatError(f"{path}: invalid header structure ({exc})") from exc

@@ -23,7 +23,7 @@ class ShapeError(InputError):
 
 
 class StateError(EcgAuthError):
-    """An operation was called in the wrong order (e.g. backward before forward)."""
+    """A computation reached an invalid internal state (e.g. training diverged)."""
 
 
 class ConfigurationError(EcgAuthError):

@@ -1,12 +1,12 @@
 """Objectives for contrastive pretraining and identity-geometry fine-tuning.
 
-Five losses: the symmetric cross-modal contrastive loss, a self-constraint
+Four losses: the symmetric cross-modal contrastive loss, a self-constraint
 center loss against per-class medoid centers, a distance-softmax prototype
-loss, a reciprocal-point repulsion hinge, and their weighted total. Distances
-are squared Euclidean throughout except the medoid, which minimizes the sum of
-plain Euclidean distances.
+loss, and a reciprocal-point repulsion hinge; fine-tuning weights the last
+three with LossWeights. Distances are squared Euclidean throughout except the
+medoid, which minimizes the sum of plain Euclidean distances.
 
-Each ``*_grad`` companion returns the loss together with analytic gradients;
+Each ``*_grad`` function returns the loss together with analytic gradients;
 they are plain functions of their inputs (no hidden state), so central finite
 differences validate them directly.
 """
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError, ParameterError, ShapeError
+from .errors import InputError, ParameterError, ShapeError
 
 # exp() underflows to zero below roughly -745; clipping shifted logits here
 # keeps every probability strictly positive without changing the argmax.
@@ -77,15 +77,6 @@ class ClassGeometry:
             reciprocal=self.reciprocal.copy(),
             margin=self.margin,
         )
-
-
-@dataclass(frozen=True)
-class LossParts:
-    """The three fine-tuning loss components evaluated on one batch."""
-
-    self_constraint: float
-    prototype: float
-    repulsion: float
 
 
 # ----------------------------------------------------------------------
@@ -172,16 +163,6 @@ def compute_medoid(points: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 # self-constraint center loss
 
-def _centers_for(labels, geometry) -> np.ndarray:
-    rows = []
-    for lab in labels:
-        lab = int(lab)
-        if lab not in geometry:
-            raise ConfigurationError(f"no geometry for class {lab}")
-        rows.append(geometry[lab].center)
-    return np.stack(rows)
-
-
 def center_loss_grad(features: np.ndarray, centers: np.ndarray):
     """Batch mean of squared distance to per-sample centers, with d/d(features).
 
@@ -191,12 +172,6 @@ def center_loss_grad(features: np.ndarray, centers: np.ndarray):
     diff = f - np.asarray(centers, dtype=np.float64)
     loss = float((diff * diff).sum() / f.shape[0])
     return loss, (2.0 / f.shape[0]) * diff
-
-
-def self_constraint_loss(features, labels, geometry) -> float:
-    """Mean squared distance from each feature to its class center."""
-    loss, _ = center_loss_grad(features, _centers_for(labels, geometry))
-    return loss
 
 
 # ----------------------------------------------------------------------
@@ -285,28 +260,3 @@ def repulsion_loss_grad(features, reciprocals, margins):
     scale = (2.0 / (dim * n)) * active
     dfeat = scale[:, None] * diff
     return loss, dfeat, -dfeat, -active.astype(np.float64) / n
-
-
-def repulsion_loss(features, labels, geometry) -> float:
-    """Mean hinge excess of each sample outside its class margin."""
-    o_rows, r_vals = [], []
-    for lab in labels:
-        lab = int(lab)
-        if lab not in geometry:
-            raise ConfigurationError(f"no geometry for class {lab}")
-        o_rows.append(geometry[lab].reciprocal)
-        r_vals.append(geometry[lab].margin)
-    loss, _, _, _ = repulsion_loss_grad(features, np.stack(o_rows), np.array(r_vals))
-    return loss
-
-
-# ----------------------------------------------------------------------
-# weighted total
-
-def total_loss(parts: LossParts, weights: LossWeights) -> float:
-    """alpha * self-constraint + beta * prototype + gamma * repulsion."""
-    return (
-        weights.alpha * parts.self_constraint
-        + weights.beta * parts.prototype
-        + weights.gamma * parts.repulsion
-    )

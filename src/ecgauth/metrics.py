@@ -74,18 +74,17 @@ def tnr(samples, delta: float) -> float:
     return 1.0 - fpr(samples, delta)
 
 
-def far(samples, delta: float, conventional: bool = False) -> float:
+def far(samples, delta: float) -> float:
     """Accepted open samples over the whole test population.
 
-    The default denominator is |known| + |open| — the unusual convention is
-    kept deliberately; pass conventional=True for the |open| denominator.
+    The denominator is |known| + |open|, not the more common |open|; this
+    unusual convention is kept deliberately.
     """
     known, opens = _split(samples)
     if not known or not opens:
         raise InputError("FAR needs both known and open samples")
     accepted = sum(1 for s in opens if s.max_prob >= delta)
-    denom = len(opens) if conventional else len(known) + len(opens)
-    return accepted / denom
+    return accepted / (len(known) + len(opens))
 
 
 @dataclass(frozen=True)
@@ -157,13 +156,8 @@ def oscr(samples) -> OpenSetCurve:
 # ----------------------------------------------------------------------
 # exports
 
-def write_curve_csv(curve: OpenSetCurve, path) -> None:
-    """Curve rows as delta,ccr,fpr,far,tnr plus a final oscr= summary line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_curve(curve))
-
-
 def format_curve(curve: OpenSetCurve) -> str:
+    """Curve rows as delta,ccr,fpr,far,tnr plus a final oscr= summary line."""
     lines = ["delta,ccr,fpr,far,tnr"]
     for i in range(curve.thresholds.size):
         row = (curve.thresholds[i], curve.ccr[i], curve.fpr[i],

@@ -19,7 +19,7 @@ import numpy as np
 
 from .authsys import Registry, enroll, score_batch
 from .encoder import EncoderConfig, ModelParams, encode_signal_batch, init_params
-from .errors import ConfigurationError, DependencyError
+from .errors import ConfigurationError, DependencyError, InputError
 from .losses import LossWeights
 from .metrics import (
     OPEN,
@@ -102,10 +102,6 @@ class CorpusSpec:
         return 2 * self.half_window
 
 
-def _default_pretrain() -> TrainConfig:
-    return TrainConfig(epochs=20, learning_rate=1e-3)
-
-
 def _default_finetune() -> TrainConfig:
     return TrainConfig(epochs=30, learning_rate=5e-4)
 
@@ -118,7 +114,7 @@ class RunConfig:
     out_dir: str = "runs/default"
     corpus: CorpusSpec = field(default_factory=CorpusSpec)
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
-    pretrain: TrainConfig = field(default_factory=_default_pretrain)
+    pretrain: TrainConfig = field(default_factory=TrainConfig)
     finetune: TrainConfig = field(default_factory=_default_finetune)
     use_pretrain: bool = True
     open_ratios: tuple[int, ...] = (1, 2, 3, 5, 10)
@@ -140,69 +136,58 @@ class RunConfig:
             )
 
 
-_TOP_KEYS = {
-    "schema_version", "seed", "out_dir", "corpus", "encoder",
-    "pretrain", "finetune", "use_pretrain", "open_ratios",
-}
-_CORPUS_KEYS = {
-    "n_enrolled", "n_open", "beats_per_identity", "fs", "half_window",
-    "noise_scale", "jitter_scale",
-}
-_ENCODER_KEYS = {"n_blocks", "channels", "kernel_size", "embed_dim", "proj_dim"}
-_TRAIN_KEYS = {
-    "batch_size", "epochs", "learning_rate", "optimizer",
-    "momentum", "beta1", "beta2", "eps",
-}
-_WEIGHT_KEYS = {"pretrain": {"tau"}, "finetune": {"alpha", "beta", "gamma"}}
+# The loss weights each training stage reads, in LossWeights field order.
+# They sit flat in the stage's config section; the stage seed is left out
+# because run_experiment stamps the top-level seed into each stage.
+_WEIGHT_KEYS = {"pretrain": ("tau",), "finetune": ("alpha", "beta", "gamma")}
 
 
 def default_config_dict() -> dict:
-    """The default experiment as a plain config tree (JSON-serializable)."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "seed": 5,
-        "out_dir": "runs/default",
-        "corpus": {
-            "n_enrolled": 8,
-            "n_open": 80,
-            "beats_per_identity": 100,
-            "fs": 250.0,
-            "half_window": 250,
-            "noise_scale": 1.0,
-            "jitter_scale": 1.0,
-        },
-        "encoder": {
-            "n_blocks": 4,
-            "channels": [16, 32, 64, 128],
-            "kernel_size": 7,
-            "embed_dim": 128,
-            "proj_dim": 64,
-        },
-        "pretrain": {
-            "batch_size": 32,
-            "epochs": 20,
-            "learning_rate": 1e-3,
-            "optimizer": "adam",
-            "tau": 0.07,
-        },
-        "finetune": {
-            "batch_size": 32,
-            "epochs": 30,
-            "learning_rate": 5e-4,
-            "optimizer": "adam",
-            "alpha": 0.1,
-            "beta": 1.0,
-            "gamma": 0.1,
-        },
-        "use_pretrain": True,
-        "open_ratios": [1, 2, 3, 5, 10],
-    }
+    """The default experiment as a plain config tree (JSON-serializable).
+
+    The tree is also the schema: config_from_dict accepts exactly its keys,
+    each leaf with the type of its default.
+    """
+    tree = dataclasses.asdict(RunConfig())
+    for stage, keys in _WEIGHT_KEYS.items():
+        section = tree[stage]
+        weights = section.pop("weights")
+        del section["seed"]
+        section.update((k, weights[k]) for k in keys)
+    return _plain({"schema_version": SCHEMA_VERSION, **tree})
 
 
-def _reject_unknown(section: dict, allowed: set, where: str) -> None:
-    unknown = sorted(set(section) - allowed)
-    if unknown:
-        raise ConfigurationError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+def _plain(value):
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    return list(value) if isinstance(value, tuple) else value
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _leaf(value, default, what: str):
+    """``value`` if it has the type of ``default``; an int widens to a float."""
+    if isinstance(default, list):
+        if isinstance(value, (list, tuple)) and all(_is_int(v) for v in value):
+            return list(value)
+        raise ConfigurationError(f"{what} must be a list of integers")
+    if isinstance(default, bool):
+        if isinstance(value, bool):
+            return value
+        raise ConfigurationError(f"{what} must be true or false")
+    if isinstance(default, int):
+        if _is_int(value):
+            return value
+        raise ConfigurationError(f"{what} must be an integer")
+    if isinstance(default, float):
+        if _is_int(value) or isinstance(value, float):
+            return float(value)
+        raise ConfigurationError(f"{what} must be a number")
+    if isinstance(value, str):
+        return value
+    raise ConfigurationError(f"{what} must be a string")
 
 
 def _require_mapping(value, where: str) -> dict:
@@ -211,25 +196,24 @@ def _require_mapping(value, where: str) -> dict:
     return value
 
 
-def _train_config(section: dict, stage: str,
-                  defaults: TrainConfig) -> TrainConfig:
-    # the stage seed is not part of the schema: run_experiment stamps the
-    # top-level seed into each stage when it launches them
-    _reject_unknown(section, _TRAIN_KEYS | _WEIGHT_KEYS[stage], f'"{stage}"')
-    weight_args = {k: float(section[k])
-                   for k in _WEIGHT_KEYS[stage] if k in section}
-    kwargs = {k: section[k] for k in _TRAIN_KEYS if k in section}
-    try:
-        weights = dataclasses.replace(defaults.weights, **weight_args)
-        return dataclasses.replace(defaults, weights=weights, **kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f'invalid "{stage}" settings: {exc}') from exc
+def _merge(defaults: dict, given, where: str) -> dict:
+    """``defaults`` overridden by the checked leaves of ``given``."""
+    given = _require_mapping(given, where)
+    unknown = sorted(set(given) - set(defaults))
+    if unknown:
+        raise ConfigurationError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+    out = dict(defaults)
+    for key, value in given.items():
+        if isinstance(defaults[key], dict):
+            out[key] = _merge(defaults[key], value, f'"{key}"')
+        else:
+            out[key] = _leaf(value, defaults[key], f"{key} in {where}")
+    return out
 
 
 def config_from_dict(data: dict) -> RunConfig:
     """Validate a parsed config tree; unknown keys anywhere are rejected."""
     data = _require_mapping(data, "config")
-    _reject_unknown(data, _TOP_KEYS, "config")
     if "schema_version" not in data:
         raise ConfigurationError("config is missing schema_version")
     if data["schema_version"] != SCHEMA_VERSION:
@@ -237,44 +221,18 @@ def config_from_dict(data: dict) -> RunConfig:
             f"unsupported schema_version {data['schema_version']!r} "
             f"(this toolkit reads version {SCHEMA_VERSION})"
         )
-    seed = data.get("seed", 5)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigurationError("seed must be an integer")
-
-    corpus_sec = _require_mapping(data.get("corpus", {}), '"corpus"')
-    _reject_unknown(corpus_sec, _CORPUS_KEYS, '"corpus"')
-    encoder_sec = _require_mapping(data.get("encoder", {}), '"encoder"')
-    _reject_unknown(encoder_sec, _ENCODER_KEYS, '"encoder"')
-    use_pretrain = data.get("use_pretrain", True)
-    if not isinstance(use_pretrain, bool):
-        raise ConfigurationError("use_pretrain must be true or false")
-    ratios = data.get("open_ratios", [1, 2, 3, 5, 10])
-    if not isinstance(ratios, (list, tuple)) or not all(
-        isinstance(r, int) and not isinstance(r, bool) for r in ratios
-    ):
-        raise ConfigurationError("open_ratios must be a list of integers")
-
+    tree = _merge(default_config_dict(), data, "config")
+    del tree["schema_version"]
+    defaults = RunConfig()
     try:
-        corpus = CorpusSpec(**corpus_sec)
-        if "channels" in encoder_sec:
-            encoder_sec = dict(encoder_sec, channels=tuple(encoder_sec["channels"]))
-        encoder = EncoderConfig(**encoder_sec)
-        return RunConfig(
-            seed=seed,
-            out_dir=str(data.get("out_dir", "runs/default")),
-            corpus=corpus,
-            encoder=encoder,
-            pretrain=_train_config(
-                _require_mapping(data.get("pretrain", {}), '"pretrain"'),
-                "pretrain", _default_pretrain(),
-            ),
-            finetune=_train_config(
-                _require_mapping(data.get("finetune", {}), '"finetune"'),
-                "finetune", _default_finetune(),
-            ),
-            use_pretrain=use_pretrain,
-            open_ratios=tuple(ratios),
-        )
+        for name, section in tree.items():
+            if name in _WEIGHT_KEYS:
+                weights = LossWeights(**{k: section.pop(k)
+                                         for k in _WEIGHT_KEYS[name]})
+                tree[name] = TrainConfig(weights=weights, **section)
+            elif isinstance(section, dict):
+                tree[name] = type(getattr(defaults, name))(**section)
+        return RunConfig(**tree)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"invalid config value: {exc}") from exc
 
@@ -399,26 +357,29 @@ def load_corpus(corpus_dir) -> Corpus:
         raise DependencyError(f"missing corpus manifest: {manifest_path}")
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"corpus manifest {manifest_path} is not "
-                                 f"valid JSON: {exc}")
-    half_window = int(manifest["half_window"])
+        fs = float(manifest["fs"])
+        half_window = int(manifest["half_window"])
+        enrolled_paths, open_paths = [
+            {sid: corpus_dir / manifest["records"][str(sid)]
+             for sid in sorted(int(s) for s in manifest[key])}
+            for key in ("enrolled_ids", "open_ids")
+        ]
+    except (KeyError, TypeError, ValueError) as exc:
+        # json.JSONDecodeError is a ValueError
+        raise InputError(f"corpus manifest {manifest_path} is malformed "
+                         f"({type(exc).__name__}: {exc})") from exc
 
-    def load_split(ids) -> dict[int, IdentityData]:
+    def load_split(split: dict) -> dict[int, IdentityData]:
         out = {}
-        for sid in sorted(int(s) for s in ids):
-            rec_path = corpus_dir / manifest["records"][str(sid)]
+        for sid, rec_path in split.items():
             if not rec_path.exists():
                 raise DependencyError(f"missing record file: {rec_path}")
             out[sid] = _identity_data(read_record(rec_path), half_window)
         return out
 
-    return Corpus(
-        fs=float(manifest["fs"]),
-        half_window=half_window,
-        enrolled=load_split(manifest["enrolled_ids"]),
-        open_set=load_split(manifest["open_ids"]),
-    )
+    return Corpus(fs=fs, half_window=half_window,
+                  enrolled=load_split(enrolled_paths),
+                  open_set=load_split(open_paths))
 
 
 # ----------------------------------------------------------------------

@@ -71,6 +71,10 @@ class TrainConfig:
             raise ParameterError("learning_rate must be positive")
         if self.optimizer not in _OPTIMIZERS:
             raise ParameterError(f"optimizer must be one of {_OPTIMIZERS}")
+        if not all(0 <= b < 1 for b in (self.momentum, self.beta1, self.beta2)):
+            raise ParameterError("momentum, beta1 and beta2 must lie in [0, 1)")
+        if not self.eps > 0:
+            raise ParameterError("eps must be positive")
 
 
 @dataclass
@@ -180,11 +184,15 @@ def pretrain(pairs, cfg: TrainConfig,
             idx = perm[start : start + cfg.batch_size]
             if idx.size < 2:
                 continue
-            zs = model.forward_signal(mp, windows[idx], train=True, project=True)
-            zr = model.forward_report(mp, hashed[idx], train=True, project=True)
+            zs, sig_tape = model.forward_signal(mp, windows[idx], train=True,
+                                                project=True)
+            zr, rep_tape = model.forward_report(mp, hashed[idx], train=True,
+                                                project=True)
             loss, dzs, dzr = contrastive_loss_grad(zs, zr, cfg.weights.tau)
-            grads = model.backward_signal(mp, dzs)
-            grads.update(model.backward_report(mp, dzr))
+            grads = model.backward_signal(mp, dzs, sig_tape)
+            grads.update(model.backward_report(mp, dzr, rep_tape))
+            # free the activations before the next batch's forward pass
+            del sig_tape, rep_tape
             opt.step(mp.params, grads)
             total += loss * idx.size
             seen += idx.size
@@ -221,35 +229,6 @@ def _class_medoids(mp: ModelParams, windows, class_idx, n_classes) -> np.ndarray
     return np.stack([
         compute_medoid(emb[class_idx == k]) for k in range(n_classes)
     ])
-
-
-def recompute_centers(params: ModelParams, labeled, geometry=None):
-    """Set every class center to the medoid of its current embeddings.
-
-    Prototypes, reciprocal points, and margins are carried over unchanged
-    when an existing geometry mapping is given; otherwise they start at the
-    medoid, the zero vector, and 1.0 respectively. Pure in ``params``.
-    """
-    windows, class_ids, class_idx = _group_by_class(labeled)
-    medoids = _class_medoids(params, windows, class_idx, len(class_ids))
-    out = {}
-    for k, cid in enumerate(class_ids):
-        if geometry is not None and cid in geometry:
-            old = geometry[cid]
-            out[cid] = ClassGeometry(
-                center=medoids[k],
-                prototype=old.prototype.copy(),
-                reciprocal=old.reciprocal.copy(),
-                margin=old.margin,
-            )
-        else:
-            out[cid] = ClassGeometry(
-                center=medoids[k],
-                prototype=medoids[k].copy(),
-                reciprocal=np.zeros_like(medoids[k]),
-                margin=1.0,
-            )
-    return out
 
 
 def finetune(labeled, params: ModelParams, cfg: TrainConfig):
@@ -289,7 +268,7 @@ def finetune(labeled, params: ModelParams, cfg: TrainConfig):
         for start in range(0, n, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
             yb = class_idx[idx]
-            feats = model.forward_signal(mp, windows[idx], train=True)
+            feats, tape = model.forward_signal(mp, windows[idx], train=True)
             d_feats = np.zeros_like(feats)
             geom_grads: dict[str, np.ndarray] = {}
             l_self = l_proto = l_rep = 0.0
@@ -311,7 +290,8 @@ def finetune(labeled, params: ModelParams, cfg: TrainConfig):
                 np.add.at(gr, yb, w.gamma * drr)
                 geom_grads["geom.recips"] = go
                 geom_grads["geom.margins"] = gr
-            grads = model.backward_signal(mp, d_feats)
+            grads = model.backward_signal(mp, d_feats, tape)
+            del tape  # free the activations before the next batch's forward pass
             tensors = {k: mp.params[k] for k in trainable}
             tensors.update({"geom.protos": protos, "geom.recips": recips,
                             "geom.margins": margins})

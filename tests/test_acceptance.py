@@ -24,7 +24,6 @@ from ecgauth import pipeline
 from ecgauth.cli import main
 from ecgauth.encoder import load_checkpoint
 from ecgauth.losses import (
-    LossParts,
     LossWeights,
     center_loss_grad,
     compute_medoid,
@@ -34,7 +33,6 @@ from ecgauth.losses import (
     prototype_loss,
     prototype_loss_grad,
     repulsion_loss_grad,
-    total_loss,
 )
 from ecgauth.metrics import OPEN, ScoredSample, oscr
 from ecgauth.signals import (
@@ -168,12 +166,9 @@ def test_loss_gradients_match_finite_differences():
         y = rng.integers(0, m, n)
 
         def scalar():
-            parts = LossParts(
-                self_constraint=center_loss_grad(f, c)[0],
-                prototype=prototype_loss(f, y, p),
-                repulsion=repulsion_loss_grad(f, o, r)[0],
-            )
-            return total_loss(parts, w)
+            return (w.alpha * center_loss_grad(f, c)[0]
+                    + w.beta * prototype_loss(f, y, p)
+                    + w.gamma * repulsion_loss_grad(f, o, r)[0])
 
         _, ds = center_loss_grad(f, c)
         _, dpf, dpp = prototype_loss_grad(f, y, p)

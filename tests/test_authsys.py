@@ -1,5 +1,6 @@
 """Enrollment, authentication decisions, calibration, registry persistence."""
 
+import logging
 from types import SimpleNamespace
 
 import numpy as np
@@ -129,18 +130,24 @@ def _patch_scores(monkeypatch, probs, preds):
     monkeypatch.setattr(authsys, "score_batch", fake)
 
 
-def test_calibration_picks_95th_percentile_score(monkeypatch, registry):
+def test_calibration_picks_95th_percentile_score(monkeypatch, registry, caplog):
     probs = np.linspace(0.99, 0.80, 20)  # unique, descending
     _patch_scores(monkeypatch, probs, np.ones(20, dtype=int))
-    delta = calibrate_threshold(registry, _stub_validation(20))
+    with caplog.at_level(logging.WARNING, logger="ecgauth.authsys"):
+        delta = calibrate_threshold(registry, _stub_validation(20))
+    assert not caplog.records  # only the fallback warns
     # 19 of 20 (95%) must clear the threshold: the 19th-highest score wins
     assert delta == pytest.approx(sorted(probs)[1])
 
 
-def test_calibration_falls_back_when_everything_is_wrong(monkeypatch, registry):
+def test_calibration_falls_back_when_everything_is_wrong(monkeypatch, registry,
+                                                        caplog):
     probs = np.linspace(0.99, 0.80, 20)
     _patch_scores(monkeypatch, probs, np.full(20, 2, dtype=int))  # truth is 1
-    assert calibrate_threshold(registry, _stub_validation(20)) == 0.5
+    with caplog.at_level(logging.WARNING, logger="ecgauth.authsys"):
+        assert calibrate_threshold(registry, _stub_validation(20)) == 0.5
+    assert [r.levelno for r in caplog.records] == [logging.WARNING]
+    assert "falling back to 0.5" in caplog.text
 
 
 def test_calibration_clamps_saturated_scores(monkeypatch, registry):

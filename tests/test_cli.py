@@ -1,6 +1,7 @@
 """End-to-end CLI runs on a miniature corpus, plus the exit-code contract."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -14,6 +15,9 @@ import pytest
 
 from ecgauth import pipeline
 from ecgauth.cli import main
+from ecgauth.encoder import EncoderConfig
+from ecgauth.errors import ConfigurationError
+from ecgauth.training import TrainConfig
 
 
 def tiny_config_dict():
@@ -32,6 +36,13 @@ def tiny_config_dict():
 def _run(*argv) -> int:
     with contextlib.redirect_stdout(io.StringIO()):
         return main(list(argv))
+
+
+def _copy_corpus(out: Path, target: Path) -> Path:
+    (target / "corpus").mkdir(parents=True)
+    for p in (out / "corpus").iterdir():
+        shutil.copy(p, target / "corpus" / p.name)
+    return target
 
 
 def _tree_digest(root: Path) -> dict[str, str]:
@@ -152,6 +163,49 @@ def test_default_config_dict_round_trips():
         pipeline.default_config_dict()) == pipeline.RunConfig()
 
 
+def test_config_sections_match_dataclass_fields():
+    def names(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+
+    tree = pipeline.default_config_dict()
+    train = [n for n in names(TrainConfig) if n not in ("weights", "seed")]
+    expected = {
+        "corpus": names(pipeline.CorpusSpec),
+        "encoder": names(EncoderConfig),
+        "pretrain": train + ["tau"],
+        "finetune": train + ["alpha", "beta", "gamma"],
+    }
+    assert list(tree) == ["schema_version"] + names(pipeline.RunConfig)
+    assert {k: list(v) for k, v in tree.items() if isinstance(v, dict)} == expected
+    # config_from_dict takes each of those keys on its own, and no other
+    for section, keys in expected.items():
+        for key in keys:
+            doc = pipeline.default_config_dict()
+            doc[section] = {key: tree[section][key]}
+            assert pipeline.config_from_dict(doc) == pipeline.RunConfig()
+        doc[section] = {"bogus": 1}
+        with pytest.raises(ConfigurationError, match="bogus"):
+            pipeline.config_from_dict(doc)
+
+
+@pytest.mark.parametrize("section,values", [
+    ("finetune", {"batch_size": 2.5}),
+    ("pretrain", {"epochs": 1.5}),
+    ("corpus", {"half_window": 125.5}),
+    ("finetune", {"beta1": 1.0}),
+    ("finetune", {"eps": 0}),
+    ("finetune", {"optimizer": "sgd", "momentum": -5}),
+], ids=["batch_size", "epochs", "half_window", "beta1", "eps", "momentum"])
+def test_bad_optimizer_and_shape_values_are_config_errors(tmp_path, section,
+                                                          values):
+    bad = tmp_path / "bad.json"
+    doc = tiny_config_dict()
+    doc[section].update(values)
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    assert _run("synth", "--config", str(bad), "--out", str(tmp_path)) == 2
+    assert not (tmp_path / "corpus").exists()
+
+
 def test_unknown_key_names_the_section(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     doc = tiny_config_dict()
@@ -184,12 +238,26 @@ def test_missing_corpus_exit_code(workspace, tmp_path, capsys):
     assert "synth" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("change", [
+    lambda m: m.pop("half_window"),
+    lambda m: m["open_ids"].append(99),  # no record file listed for id 99
+    lambda m: m.update(fs="fast"),
+], ids=["missing-key", "unlisted-id", "bad-value"])
+def test_malformed_manifest_exit_code(workspace, tmp_path, capsys, change):
+    cfg_path, out = workspace
+    target = _copy_corpus(out, tmp_path / "badmanifest")
+    manifest_path = target / "corpus" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    change(manifest)
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    code = main(["pretrain", "--config", str(cfg_path), "--out", str(target)])
+    assert code == 4
+    assert "manifest" in capsys.readouterr().err
+
+
 def test_missing_checkpoint_exit_code(workspace, tmp_path, capsys):
     cfg_path, out = workspace
-    target = tmp_path / "nockpt"
-    (target / "corpus").mkdir(parents=True)
-    for p in (out / "corpus").iterdir():
-        shutil.copy(p, target / "corpus" / p.name)
+    target = _copy_corpus(out, tmp_path / "nockpt")
     code = main(["finetune", "--config", str(cfg_path), "--out", str(target)])
     assert code == 3
     assert "pretrain" in capsys.readouterr().err
@@ -197,21 +265,35 @@ def test_missing_checkpoint_exit_code(workspace, tmp_path, capsys):
 
 def test_missing_registry_exit_code(workspace, tmp_path):
     cfg_path, out = workspace
-    target = tmp_path / "noreg"
-    (target / "corpus").mkdir(parents=True)
-    for p in (out / "corpus").iterdir():
-        shutil.copy(p, target / "corpus" / p.name)
+    target = _copy_corpus(out, tmp_path / "noreg")
     assert _run("eval", "--config", str(cfg_path), "--out", str(target)) == 3
 
 
 def test_corrupt_checkpoint_exit_code(workspace, tmp_path):
     cfg_path, out = workspace
-    target = tmp_path / "badckpt"
-    (target / "corpus").mkdir(parents=True)
-    for p in (out / "corpus").iterdir():
-        shutil.copy(p, target / "corpus" / p.name)
+    target = _copy_corpus(out, tmp_path / "badckpt")
     good = (out / "pretrain.ckpt").read_bytes()
     (target / "pretrain.ckpt").write_bytes(good[: len(good) // 2])
+    assert _run("finetune", "--config", str(cfg_path),
+                "--out", str(target)) == 5
+
+
+@pytest.mark.parametrize("change", [
+    lambda enc: enc.pop("proj_dim"),
+    lambda enc: enc.update(dropout=0.1),
+], ids=["missing", "extra"])
+def test_encoder_header_keys_must_match_config(workspace, tmp_path, change):
+    """A checkpoint whose encoder section lacks or adds a key is rejected."""
+    cfg_path, out = workspace
+    target = _copy_corpus(out, tmp_path / "badheader")
+    raw = (out / "pretrain.ckpt").read_bytes()
+    n = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16 : 16 + n])
+    change(header["encoder"])
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    body = raw[:8] + len(head).to_bytes(8, "little") + head + raw[16 + n : -32]
+    # a valid digest, so only the header is at fault
+    (target / "pretrain.ckpt").write_bytes(body + hashlib.sha256(body).digest())
     assert _run("finetune", "--config", str(cfg_path),
                 "--out", str(target)) == 5
 

@@ -29,7 +29,6 @@ from ecgauth.errors import (
     InputError,
     ParameterError,
     ShapeError,
-    StateError,
 )
 
 SMALL = EncoderConfig(n_blocks=1, channels=(4,), kernel_size=3,
@@ -86,13 +85,6 @@ def test_shape_errors():
         model.forward_signal(mp, np.zeros(LEN), train=False)
 
 
-def test_backward_requires_forward():
-    mp = small_params()
-    model = build_model(mp)
-    with pytest.raises(StateError):
-        model.backward_signal(mp, np.zeros((2, SMALL.embed_dim)))
-
-
 def test_single_matches_batch():
     mp = small_params(3)
     rng = np.random.default_rng(0)
@@ -129,9 +121,9 @@ def test_projection_is_unit_norm():
 # gradient checks (small network, central differences)
 
 def _loss_and_grads_signal(model, mp, x, probe):
-    out = model.forward_signal(mp, x, train=True, project=True)
+    out, tape = model.forward_signal(mp, x, train=True, project=True)
     loss = float((probe * out).sum())
-    grads = model.backward_signal(mp, probe)
+    grads = model.backward_signal(mp, probe, tape)
     return loss, grads
 
 
@@ -172,11 +164,11 @@ def test_report_branch_gradients_match_finite_differences():
     probe = rng.normal(size=(3, SMALL.proj_dim))
 
     def run():
-        out = model.forward_report(mp, hashed, train=True, project=True)
+        out, _ = model.forward_report(mp, hashed, train=True, project=True)
         return float((probe * out).sum())
 
-    _ = run()
-    grads = model.backward_report(mp, probe)
+    _, tape = model.forward_report(mp, hashed, train=True, project=True)
+    grads = model.backward_report(mp, probe, tape)
     h = 1e-5
     worst = 0.0
     for name in ("f_r.linear.weight", "proj_r.fc1.weight", "proj_r.fc2.bias"):

@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 from ecgauth.errors import (
-    ConfigurationError,
     InputError,
     ParameterError,
     ShapeError,
 )
 from ecgauth.losses import (
     ClassGeometry,
-    LossParts,
     LossWeights,
     center_loss_grad,
     compute_medoid,
@@ -23,10 +21,7 @@ from ecgauth.losses import (
     prototype_loss,
     prototype_loss_grad,
     prototype_prob,
-    repulsion_loss,
     repulsion_loss_grad,
-    self_constraint_loss,
-    total_loss,
 )
 
 
@@ -197,19 +192,19 @@ def _geometry(centers):
 
 
 def test_self_constraint_zero_at_centers():
-    centers = [np.array([1.0, 2.0]), np.array([-3.0, 0.5])]
-    geo = _geometry(centers)
-    feats = np.stack([centers[0], centers[1], centers[0]])
-    assert self_constraint_loss(feats, [0, 1, 0], geo) == 0.0
+    centers = np.array([[1.0, 2.0], [-3.0, 0.5]])
+    labels = [0, 1, 0]
+    loss, dfeat = center_loss_grad(centers[labels], centers[labels])
+    assert loss == 0.0
+    assert not dfeat.any()
 
 
 def test_self_constraint_hand_value():
-    geo = _geometry([np.zeros(2)])
     feats = np.array([[3.0, 4.0], [0.0, 0.0]])
-    # squared distances 25 and 0, batch mean 12.5
-    assert self_constraint_loss(feats, [0, 0], geo) == pytest.approx(12.5)
-    with pytest.raises(ConfigurationError):
-        self_constraint_loss(feats, [0, 7], geo)
+    # squared distances 25 and 0, batch mean 12.5; d/df = 2 (f - c) / n
+    loss, dfeat = center_loss_grad(feats, np.zeros((2, 2)))
+    assert loss == pytest.approx(12.5)
+    assert dfeat == pytest.approx(feats)
 
 
 def test_center_gradients():
@@ -295,17 +290,22 @@ def test_repulsion_gradients():
 
 
 def test_repulsion_by_labels_matches_gathered_form():
+    # finetune gathers each sample's class rows by label; the batch loss is
+    # then the mean of the per-sample losses
     geo = _geometry([np.zeros(2), np.full(2, 4.0)])
-    f = np.array([[3.0, 0.0], [4.0, 4.1]])
-    by_label = repulsion_loss(f, [0, 1], geo)
-    loss, _, _, _ = repulsion_loss_grad(
-        f, np.stack([geo[0].reciprocal, geo[1].reciprocal]),
-        np.array([geo[0].margin, geo[1].margin]))
-    assert by_label == pytest.approx(loss, abs=1e-12)
+    recips = np.stack([geo[0].reciprocal, geo[1].reciprocal])
+    margins = np.array([geo[0].margin, geo[1].margin])
+    f = np.array([[3.0, 0.0], [4.0, 4.1], [0.5, 0.0]])
+    labels = np.array([0, 1, 0])
+    loss, _, _, _ = repulsion_loss_grad(f, recips[labels], margins[labels])
+    singles = [repulsion_loss_grad(f[i : i + 1], recips[[y]], margins[[y]])[0]
+               for i, y in enumerate(labels)]
+    assert loss == pytest.approx(np.mean(singles), abs=1e-12)
+    assert loss > 0.0
 
 
 # ----------------------------------------------------------------------
-# containers and the weighted total
+# containers
 
 def test_loss_weights_validation():
     with pytest.raises(ParameterError):
@@ -331,10 +331,3 @@ def test_class_geometry_validation():
     cp.prototype[0] = 9.0
     assert geo.prototype[0] == 0.0
 
-
-def test_total_loss_is_weighted_sum():
-    parts = LossParts(self_constraint=2.0, prototype=3.0, repulsion=5.0)
-    w = LossWeights(alpha=0.1, beta=1.0, gamma=0.1)
-    assert total_loss(parts, w) == pytest.approx(0.1 * 2 + 3.0 + 0.1 * 5)
-    zero = LossWeights(alpha=0.0, beta=0.0, gamma=0.0)
-    assert total_loss(parts, zero) == 0.0

@@ -14,7 +14,6 @@ from ecgauth.metrics import (
     fpr,
     oscr,
     tnr,
-    write_curve_csv,
     write_embeddings_csv,
 )
 
@@ -62,7 +61,6 @@ def test_tnr_is_exactly_one_minus_fpr():
 def test_far_uses_total_population_denominator():
     # 1 accepted open at delta=0.5, over 3 known + 2 open samples
     assert far(HAND, 0.5) == pytest.approx(1 / 5)
-    assert far(HAND, 0.5, conventional=True) == pytest.approx(1 / 2)
     assert far(HAND, 0.0) == pytest.approx(2 / 5)
 
 
@@ -208,13 +206,6 @@ def test_format_curve_shape_and_round_trip():
         assert fields[0] == float(curve.thresholds[i])
         assert fields[1] == float(curve.ccr[i])
         assert fields[4] == float(curve.tnr[i])
-
-
-def test_write_curve_csv(tmp_path):
-    curve = oscr(HAND)
-    path = tmp_path / "curve.csv"
-    write_curve_csv(curve, path)
-    assert path.read_text(encoding="utf-8") == format_curve(curve)
 
 
 def test_write_embeddings_csv(tmp_path):

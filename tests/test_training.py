@@ -7,12 +7,7 @@ from ecgauth.encoder import EncoderConfig, encode_signal_batch, init_params
 from ecgauth.errors import ConfigurationError, InputError, ParameterError
 from ecgauth.losses import LossWeights, compute_medoid
 from ecgauth.signals import IdentityMorphology, segment_beats, synth_ecg
-from ecgauth.training import (
-    TrainConfig,
-    finetune,
-    pretrain,
-    recompute_centers,
-)
+from ecgauth.training import TrainConfig, finetune, pretrain
 
 SMALL_ENC = EncoderConfig(n_blocks=1, channels=(4,), kernel_size=3,
                           embed_dim=8, proj_dim=4)
@@ -57,6 +52,11 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ParameterError):
         TrainConfig(optimizer="rmsprop")
+    for bad in (dict(momentum=-0.1), dict(beta1=1.0), dict(beta2=-1e-3),
+                dict(eps=0.0)):
+        with pytest.raises(ParameterError):
+            TrainConfig(**bad)
+    TrainConfig(momentum=0.0, beta1=0.0, beta2=0.0, eps=1e-12)  # bounds are valid
 
 
 # ----------------------------------------------------------------------
@@ -112,6 +112,17 @@ def test_pretrain_report_lines(labeled):
 def _init_mp(labeled, seed=3):
     window_len = labeled[0][0].window.size
     return init_params(SMALL_ENC, window_len, seed=seed)
+
+
+def test_finetune_total_is_weighted_sum_of_parts(labeled):
+    weights = LossWeights(alpha=0.3, beta=0.7, gamma=0.2)
+    cfg = TrainConfig(batch_size=8, epochs=2, seed=16, weights=weights)
+    _, _, report = finetune(labeled, _init_mp(labeled), cfg)
+    for epoch in report.epochs:
+        parts = epoch.losses
+        weighted = (0.3 * parts["self"] + 0.7 * parts["proto"]
+                    + 0.2 * parts["repulsion"])
+        assert parts["total"] == pytest.approx(weighted, rel=1e-12)
 
 
 def test_finetune_reduces_total_loss(labeled):
@@ -201,32 +212,14 @@ def test_finetune_sgd_path(labeled):
     assert mp_a.checksum() == mp_b.checksum()
 
 
-# ----------------------------------------------------------------------
-# center recomputation
-
-def test_recompute_centers_matches_direct_medoids(labeled):
+def test_finetune_zero_epochs_starts_geometry_at_medoids(labeled):
     mp = _init_mp(labeled)
-    before = mp.checksum()
-    geometry = recompute_centers(mp, labeled)
-    assert mp.checksum() == before
+    cfg = TrainConfig(batch_size=8, epochs=0, seed=17)
+    tuned, geometry, report = finetune(labeled, mp, cfg)
+    assert report.epochs == []
+    assert tuned.checksum() == mp.checksum()
     for cid, geo in geometry.items():
         windows = np.stack([seg.window for seg, sid in labeled if sid == cid])
-        emb = encode_signal_batch(mp, windows)
-        assert np.array_equal(geo.center, compute_medoid(emb))
+        assert np.array_equal(geo.center, compute_medoid(encode_signal_batch(mp, windows)))
         assert np.array_equal(geo.prototype, geo.center)
-        assert not geo.reciprocal.any()
         assert geo.margin == 1.0
-
-
-def test_recompute_centers_preserves_existing_geometry(labeled):
-    mp = _init_mp(labeled)
-    first = recompute_centers(mp, labeled)
-    for geo in first.values():
-        geo.prototype += 0.5
-        geo.reciprocal += 1.0
-    second = recompute_centers(mp, labeled, geometry=first)
-    for cid in first:
-        assert np.array_equal(second[cid].prototype, first[cid].prototype)
-        assert np.array_equal(second[cid].reciprocal, first[cid].reciprocal)
-        assert second[cid].margin == first[cid].margin
-        assert np.array_equal(second[cid].center, first[cid].center)
