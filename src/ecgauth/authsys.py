@@ -111,13 +111,17 @@ def enroll(labeled, params: ModelParams, cfg: TrainConfig,
     return registry
 
 
-def score_batch(registry: Registry, windows: np.ndarray):
-    """(max probability, predicted id) for a (batch, length) window array."""
-    emb = encode_signal_batch(registry.params, windows)
+def score_embeddings(registry: Registry, emb: np.ndarray):
+    """(max probability, predicted id) for a (batch, embed_dim) embedding array."""
     probs = prototype_prob(emb, registry.prototypes())
     best = probs.argmax(axis=1)
     ids = registry.ids
     return probs[np.arange(len(best)), best], np.array([ids[b] for b in best])
+
+
+def score_batch(registry: Registry, windows: np.ndarray):
+    """(max probability, predicted id) for a (batch, length) window array."""
+    return score_embeddings(registry, encode_signal_batch(registry.params, windows))
 
 
 def authenticate(registry: Registry, segment) -> Decision:

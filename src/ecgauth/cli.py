@@ -12,9 +12,11 @@ Artifacts under the output directory:
   registry.reg       fine-tuned weights, geometry, threshold     (finetune)
   eval/metrics.csv   one open-set curve block per ratio          (eval)
   eval/embeddings.csv, eval/summary.json                         (eval)
+  eval/open_identities.json  per open identity: beats accepted, and as whom (eval)
 
 Exit codes:
-  0  command completed
+  0  command completed, or the reader of standard output closed it early
+     (``ecgauth auth ... | head``): the rest of the output is discarded
   1  unexpected failure
   2  invalid configuration or command line
   3  missing upstream artifact (run the producing command first)
@@ -157,16 +159,17 @@ def cmd_eval(cfg, args) -> None:
         outcome.embedding_true_ids,
         outcome.embeddings,
     )
-    (eval_dir / "summary.json").write_text(
-        json.dumps(pipeline.eval_summary(outcome), sort_keys=True, indent=2)
-        + "\n",
-        encoding="utf-8",
-    )
+    for name, doc in (("summary.json", pipeline.eval_summary(outcome)),
+                      ("open_identities.json",
+                       pipeline.open_identity_report(outcome))):
+        (eval_dir / name).write_text(
+            json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     print(f"threshold {outcome.threshold:.9f}")
     for r in outcome.ratios:
         print(f"ratio=1:{r.ratio} acc={r.accuracy:.4f} "
               f"oscr={r.curve.oscr_area:.4f} tnr={r.tnr:.4f} far={r.far:.4f}")
-    print(f"wrote {eval_dir / 'metrics.csv'}, embeddings.csv, summary.json")
+    print(f"wrote {eval_dir / 'metrics.csv'}, embeddings.csv, summary.json, "
+          "open_identities.json")
 
 
 _COMMANDS = {
@@ -218,6 +221,16 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg = dataclasses.replace(cfg, out_dir=args.out)
         _COMMANDS[args.command][0](cfg, args)
+        # a reader that stops early must fail this flush, not the one at exit
+        sys.stdout.flush()
+        return EXIT_OK
+    except BrokenPipeError:
+        # the reader closed the pipe (`ecgauth auth ... | head`); nothing
+        # failed. Point fd 1 at devnull so the flush at interpreter exit
+        # does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_OK
     except (ConfigurationError, ParameterError) as exc:
         return _fail(exc, EXIT_CONFIG)

@@ -250,15 +250,22 @@ _ENCODE_CHUNK = 256
 def encode_signal_batch(mp: ModelParams, x: np.ndarray) -> np.ndarray:
     """Inference-mode embeddings for a (batch, length) array of windows.
 
-    Large batches are processed in fixed-size chunks to bound the memory
-    held by convolution im2col buffers; eval-mode normalization is
-    per-window, so chunking never changes the result.
+    Runs the signal chain's layers one at a time with the same ``forward``
+    code as training (``train=False``) but keeps no tape: each layer's
+    backward cache is dropped as soon as its output exists, so peak memory
+    is that of the largest layer. Large batches are processed in
+    fixed-size chunks, which bounds those activations; eval-mode
+    normalization is per-window, so chunking never changes the result.
     """
     model = build_model(mp)
     x = model._check_batch(x)
-    # an empty batch still makes one call, so it keeps its (0, embed_dim) shape
-    parts = [model.forward_signal(mp, x[start : start + _ENCODE_CHUNK], train=False)[0]
-             for start in range(0, max(x.shape[0], 1), _ENCODE_CHUNK)]
+    parts = []
+    # an empty batch still makes one pass, so it keeps its (0, embed_dim) shape
+    for start in range(0, max(x.shape[0], 1), _ENCODE_CHUNK):
+        h = x[start : start + _ENCODE_CHUNK, None, :]
+        for layer in model.signal_chain.layers:
+            h = layer.forward(mp.params, mp.buffers, h, False)[0]
+        parts.append(h)
     return np.concatenate(parts, axis=0)
 
 

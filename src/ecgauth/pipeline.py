@@ -12,12 +12,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .authsys import Registry, enroll, score_batch
+from .authsys import Registry, enroll, score_embeddings
 from .encoder import EncoderConfig, ModelParams, encode_signal_batch, init_params
 from .errors import ConfigurationError, DependencyError, InputError
 from .losses import LossWeights
@@ -183,7 +185,15 @@ def _leaf(value, default, what: str):
         raise ConfigurationError(f"{what} must be an integer")
     if isinstance(default, float):
         if _is_int(value) or isinstance(value, float):
-            return float(value)
+            # json reads NaN, Infinity and integers past the float range;
+            # every range check lets NaN and infinity by
+            try:
+                number = float(value)
+            except OverflowError:
+                number = math.inf
+            if not math.isfinite(number):
+                raise ConfigurationError(f"{what} must be a finite number")
+            return number
         raise ConfigurationError(f"{what} must be a number")
     if isinstance(value, str):
         return value
@@ -467,12 +477,15 @@ class RatioEval:
 
 @dataclass
 class EvalOutcome:
-    """Everything cmd_eval writes: per-ratio metrics plus raw embeddings."""
+    """Everything cmd_eval writes: per-ratio metrics, raw embeddings, and the
+    scores of every evaluated open identity."""
 
     threshold: float
     ratios: list[RatioEval]
     embedding_true_ids: list[int]
     embeddings: np.ndarray
+    known_count: int
+    open_scores: dict[int, list[ScoredSample]]
 
 
 def evaluate(corpus: Corpus, cfg: RunConfig, registry: Registry,
@@ -481,8 +494,10 @@ def evaluate(corpus: Corpus, cfg: RunConfig, registry: Registry,
 
     Known samples come from the enrolled identities' test split; open
     samples use every beat of the first ratio*n_enrolled open identities
-    (id order). Scores are computed once per identity and reused across
-    ratios, so the sweep costs one encoder pass.
+    (id order). Each window is encoded once: the known split in one batch,
+    each open identity in its own. Scores are reused across ratios and the
+    exported embeddings come from the same pass, so the sweep costs one
+    encoder pass plus one sort per ratio.
     """
     ratios = tuple(ratios) if ratios is not None else cfg.open_ratios
     n_enrolled = len(corpus.enrolled)
@@ -495,19 +510,28 @@ def evaluate(corpus: Corpus, cfg: RunConfig, registry: Registry,
         )
 
     _, _, test = make_splits(corpus)
-    known_windows = np.stack([s.window for s, _ in test])
-    probs, preds = score_batch(registry, known_windows)
+    known_emb = encode_signal_batch(registry.params,
+                                    np.stack([s.window for s, _ in test]))
+    probs, preds = score_embeddings(registry, known_emb)
     known_samples = [
         ScoredSample(float(p), int(c), sid)
         for p, c, (_, sid) in zip(probs, preds, test)
     ]
 
+    # the exported embeddings: the known split, then the first ratio's
+    # open identities in id order
+    first_ids = all_open[: ratios[0] * n_enrolled]
+    embed_parts = [known_emb]
     per_open: dict[int, list[ScoredSample]] = {}
     for sid in all_open[:needed]:
-        windows = np.stack([s.window for s in corpus.open_set[sid].segments])
-        probs, preds = score_batch(registry, windows)
+        emb = encode_signal_batch(
+            registry.params,
+            np.stack([s.window for s in corpus.open_set[sid].segments]))
+        probs, preds = score_embeddings(registry, emb)
         per_open[sid] = [ScoredSample(float(p), int(c), OPEN)
                          for p, c in zip(probs, preds)]
+        if sid in first_ids:
+            embed_parts.append(emb)
 
     results = []
     for ratio in ratios:
@@ -526,20 +550,16 @@ def evaluate(corpus: Corpus, cfg: RunConfig, registry: Registry,
                     ratio, results[-1].accuracy, curve.oscr_area,
                     results[-1].tnr, results[-1].far)
 
-    first_ids = all_open[: ratios[0] * n_enrolled]
-    embed_segments = [s for s, _ in test]
     embed_true = [sid for _, sid in test]
     for sid in first_ids:
-        embed_segments += corpus.open_set[sid].segments
-        embed_true += [OPEN] * len(corpus.open_set[sid].segments)
-    embeddings = encode_signal_batch(
-        registry.params, np.stack([s.window for s in embed_segments])
-    )
+        embed_true += [OPEN] * len(per_open[sid])
     return EvalOutcome(
         threshold=registry.threshold,
         ratios=results,
         embedding_true_ids=embed_true,
-        embeddings=embeddings,
+        embeddings=np.concatenate(embed_parts, axis=0),
+        known_count=len(known_samples),
+        open_scores=per_open,
     )
 
 
@@ -570,6 +590,31 @@ def eval_summary(outcome: EvalOutcome) -> dict:
             }
             for r in outcome.ratios
         ],
+    }
+
+
+def open_identity_report(outcome: EvalOutcome) -> dict:
+    """Per evaluated open identity: beats scored, beats accepted at the
+    registry threshold, and the enrolled ids that accepted them.
+
+    With ``known_beats``, a ratio's FAR is the sum of ``accepted`` over its
+    open identities divided by ``known_beats`` plus the sum of their
+    ``beats``. JSON-serializable and deterministic.
+    """
+    identities = []
+    for sid, samples in sorted(outcome.open_scores.items()):
+        absorbed = Counter(s.predicted_id for s in samples
+                           if s.max_prob >= outcome.threshold)
+        identities.append({
+            "id": sid,
+            "beats": len(samples),
+            "accepted": sum(absorbed.values()),
+            "absorbed_by": {str(k): n for k, n in sorted(absorbed.items())},
+        })
+    return {
+        "threshold": outcome.threshold,
+        "known_beats": outcome.known_count,
+        "open_identities": identities,
     }
 
 

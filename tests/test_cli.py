@@ -11,12 +11,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ecgauth import pipeline
+from ecgauth.authsys import load_registry, save_registry
 from ecgauth.cli import main
-from ecgauth.encoder import EncoderConfig
+from ecgauth.encoder import EncoderConfig, encode_signal_batch
 from ecgauth.errors import ConfigurationError
+from ecgauth.metrics import OPEN
+from ecgauth.signals import IdentityMorphology, synth_ecg, write_record
 from ecgauth.training import TrainConfig
 
 
@@ -77,7 +81,8 @@ def test_artifact_layout(workspace):
     assert (out / "corpus" / "manifest.json").is_file()
     assert (out / "pretrain.ckpt").is_file()
     assert (out / "registry.reg").is_file()
-    for name in ("metrics.csv", "embeddings.csv", "summary.json"):
+    for name in ("metrics.csv", "embeddings.csv", "summary.json",
+                 "open_identities.json"):
         assert (out / "eval" / name).is_file()
     manifest = json.loads((out / "corpus" / "manifest.json").read_text())
     assert manifest["enrolled_ids"] == [1, 2, 3]
@@ -113,6 +118,54 @@ def test_embeddings_csv_header(workspace):
     assert first.endswith("dim_31")
 
 
+def test_eval_embeddings_come_from_one_pass_over_the_same_windows(workspace):
+    cfg_path, out = workspace
+    cfg = pipeline.config_from_path(cfg_path)
+    corpus = pipeline.load_corpus(out / "corpus")
+    registry = load_registry(out / "registry.reg")
+    outcome = pipeline.evaluate(corpus, cfg, registry)
+    _, _, test = pipeline.make_splits(corpus)
+    first_open = sorted(corpus.open_set)[: cfg.open_ratios[0] * len(corpus.enrolled)]
+    windows = [s.window for s, _ in test] + [
+        s.window for sid in first_open for s in corpus.open_set[sid].segments]
+    expected = encode_signal_batch(registry.params, np.stack(windows))
+    assert outcome.embeddings.shape == expected.shape
+    assert np.allclose(outcome.embeddings, expected, atol=1e-10)
+    assert outcome.embedding_true_ids == (
+        [sid for _, sid in test] + [OPEN] * (len(windows) - len(test)))
+
+
+def test_open_identities_account_for_far(workspace, tmp_path):
+    """Per open identity, the accepted beats add up to each ratio's FAR."""
+    cfg_path, out = workspace
+    target = _copy_corpus(out, tmp_path / "lowthreshold")
+    # a threshold at the median open score, so that FAR is neither 0 nor 1
+    cfg = pipeline.config_from_path(cfg_path)
+    registry = load_registry(out / "registry.reg")
+    outcome = pipeline.evaluate(pipeline.load_corpus(out / "corpus"), cfg, registry)
+    registry.threshold = float(np.median(
+        [s.max_prob for ss in outcome.open_scores.values() for s in ss]))
+    save_registry(registry, target / "registry.reg")
+    assert _run("eval", "--config", str(cfg_path), "--out", str(target)) == 0
+
+    summary = json.loads((target / "eval" / "summary.json").read_text())
+    report = json.loads((target / "eval" / "open_identities.json").read_text())
+    rows = report["open_identities"]
+    assert report["threshold"] == summary["threshold"] == registry.threshold
+    assert [r["id"] for r in rows] == [4, 5, 6, 7, 8, 9]
+    for r in rows:
+        assert sum(r["absorbed_by"].values()) == r["accepted"] <= r["beats"]
+        assert {int(k) for k in r["absorbed_by"]} <= {1, 2, 3}
+    fars = []
+    for entry in summary["ratios"]:
+        scored = rows[: entry["open_identities"]]
+        accepted = sum(r["accepted"] for r in scored)
+        population = report["known_beats"] + sum(r["beats"] for r in scored)
+        assert accepted / population == entry["far"]
+        fars.append(entry["far"])
+    assert any(0.0 < f < 1.0 for f in fars)
+
+
 def test_synth_rewrites_identical_bytes(workspace):
     cfg_path, out = workspace
     before = _tree_digest(out / "corpus")
@@ -131,6 +184,28 @@ def test_auth_reports_each_beat(workspace, capsys):
         r"id=\d+ prob=[01]\.\d{6}$"
     )
     assert all(pattern.match(line) for line in lines)
+
+
+def test_auth_into_closed_pipe_exits_quietly(workspace, tmp_path):
+    """`ecgauth auth ... | head -1`: the reader leaves after the first line."""
+    cfg_path, _ = workspace
+    # about 120 kB of decision lines, more than a pipe buffers, so auth is
+    # still writing when the reader closes its end
+    record = tmp_path / "long.ecg"
+    morph = IdentityMorphology.random(np.random.default_rng(3))
+    write_record(synth_ecg(morph, n_beats=2000, fs=250.0, seed=1, subject_id=1),
+                 record)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ecgauth", "auth", "--config", str(cfg_path),
+         str(record)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=300)
+    assert first.startswith(b"beat=0 ")
+    assert b"Traceback" not in err, err.decode()
+    assert proc.returncode == 0, err.decode()
 
 
 # ----------------------------------------------------------------------
@@ -204,6 +279,26 @@ def test_bad_optimizer_and_shape_values_are_config_errors(tmp_path, section,
     bad.write_text(json.dumps(doc), encoding="utf-8")
     assert _run("synth", "--config", str(bad), "--out", str(tmp_path)) == 2
     assert not (tmp_path / "corpus").exists()
+
+
+@pytest.mark.parametrize("command,section,values", [
+    ("synth", "corpus", {"noise_scale": float("nan")}),
+    ("finetune", "finetune", {"learning_rate": float("inf")}),
+    ("synth", "corpus", {"jitter_scale": 10 ** 400}),  # no float holds it
+], ids=["nan-noise_scale", "infinite-learning_rate", "huge-jitter_scale"])
+def test_non_finite_config_values_are_config_errors(workspace, tmp_path,
+                                                    command, section, values):
+    _, out = workspace
+    target = _copy_corpus(out, tmp_path / "run")
+    shutil.copy(out / "pretrain.ckpt", target)
+    doc = tiny_config_dict()
+    doc[section].update(values)
+    bad = tmp_path / "bad.json"
+    # json writes and reads the NaN and Infinity literals
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    before = _tree_digest(target)
+    assert _run(command, "--config", str(bad), "--out", str(target)) == 2
+    assert _tree_digest(target) == before
 
 
 def test_unknown_key_names_the_section(tmp_path, capsys):

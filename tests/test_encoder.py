@@ -105,6 +105,13 @@ def test_chunked_batch_matches_per_row():
         assert np.allclose(encode_signal(mp, x[i]), batch[i], atol=1e-10)
 
 
+def test_tape_free_encoding_equals_taped_forward():
+    mp = small_params(4)
+    x = np.random.default_rng(1).normal(size=(300, LEN))  # crosses a chunk
+    taped, _ = build_model(mp).forward_signal(mp, x, train=False)
+    assert np.array_equal(encode_signal_batch(mp, x), taped)
+
+
 def test_projection_is_unit_norm():
     mp = small_params(5)
     rng = np.random.default_rng(2)

@@ -157,6 +157,23 @@ def test_oscr_matches_brute_force():
                                                 abs=1e-12)
 
 
+def test_oscr_curve_equals_pointwise_rates():
+    """Every swept rate is bit-equal to the single-threshold function's,
+    with duplicate scores and ties at exactly 1.0."""
+    rng = np.random.default_rng(4)
+    for trial in range(12):
+        samples = random_samples(rng, n_known=30, n_open=20,
+                                 discrete=trial % 2 == 0)
+        samples += [S(1.0, 1, 1), S(1.0, 2, 1), S(1.0, 3, OPEN)]
+        curve = oscr(samples)
+        assert curve.thresholds[-1] == 1.0
+        for i, delta in enumerate(curve.thresholds):
+            assert curve.ccr[i] == ccr(samples, delta)
+            assert curve.fpr[i] == fpr(samples, delta)
+            assert curve.far[i] == far(samples, delta)
+            assert curve.tnr[i] == tnr(samples, delta)
+
+
 def test_oscr_hand_case():
     # two knowns (one always right, one always wrong), two opens
     samples = [S(0.9, 1, 1), S(0.7, 2, 1), S(0.8, 1, OPEN), S(0.2, 1, OPEN)]
