@@ -17,6 +17,7 @@ metadata section.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import re
@@ -232,8 +233,18 @@ class DualEncoder:
 
 
 def build_model(mp: ModelParams) -> DualEncoder:
-    """Construct the layer graph matching a parameter set."""
-    return DualEncoder(mp.config, mp.input_length)
+    """The layer graph matching a parameter set.
+
+    The graph holds no per-call state, so one instance per (config,
+    input_length) is built and shared; single-beat inference would
+    otherwise spend a few percent of each call rebuilding it.
+    """
+    return _layer_graph(mp.config, mp.input_length)
+
+
+@functools.lru_cache(maxsize=8)
+def _layer_graph(config: EncoderConfig, input_length: int) -> DualEncoder:
+    return DualEncoder(config, input_length)
 
 
 def init_params(config: EncoderConfig, input_length: int, seed: int) -> ModelParams:

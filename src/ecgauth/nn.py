@@ -44,10 +44,11 @@ class Conv1d:
         l_out = (length + 2 * p - k) // s + 1
         xp = np.zeros((b, c, length + 2 * p))
         xp[:, :, p : p + length] = x
-        cols = np.empty((b, c, k, l_out))
-        for j in range(k):
-            cols[:, :, j, :] = xp[:, :, j : j + s * l_out : s]
-        cols = cols.reshape(b, c * k, l_out)
+        # im2col in one copy: tap j of this (b, c, k, l_out) view of xp is
+        # xp[:, :, j::s]; the copy is C-contiguous, as the matmuls expect
+        sb, sc, sl = xp.strides
+        taps = np.ndarray((b, c, k, l_out), xp.dtype, xp, 0, (sb, sc, sl, s * sl))
+        cols = np.ascontiguousarray(taps).reshape(b, c * k, l_out)
         w = params[f"{self.name}.weight"].reshape(self.c_out, c * k)
         y = np.matmul(w, cols) + params[f"{self.name}.bias"][:, None]
         return y, (cols, (b, c, length))
@@ -98,8 +99,10 @@ class BatchNorm1d:
             mu = buffers[f"{self.name}.running_mean"]
             var = buffers[f"{self.name}.running_var"]
         invstd = 1.0 / np.sqrt(var + _BN_EPS)
-        xhat = (x - mu[:, None]) * invstd[:, None]
-        y = gamma[:, None] * xhat + beta[:, None]
+        xhat = x - mu[:, None]
+        xhat *= invstd[:, None]
+        y = gamma[:, None] * xhat
+        y += beta[:, None]
         return y, (xhat, invstd, train)
 
     def backward(self, params, dy, cache, grads):
@@ -218,9 +221,9 @@ class ResidualBlock:
         h, c5 = self.bn2.forward(params, buffers, h, train)
         s, c6 = self.skip_conv.forward(params, buffers, x, train)
         s, c7 = self.skip_bn.forward(params, buffers, s, train)
-        y = h + s
-        mask = y > 0
-        return y * mask, (c1, c2, c3, c4, c5, c6, c7, mask)
+        h += s  # h is bn2's fresh output; no cache holds it
+        mask = h > 0
+        return h * mask, (c1, c2, c3, c4, c5, c6, c7, mask)
 
     def backward(self, params, dy, cache, grads):
         c1, c2, c3, c4, c5, c6, c7, mask = cache

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ecgauth import nn
 from ecgauth.encoder import (
     REPORT_HASH_DIM,
     DualEncoder,
@@ -110,6 +111,33 @@ def test_tape_free_encoding_equals_taped_forward():
     x = np.random.default_rng(1).normal(size=(300, LEN))  # crosses a chunk
     taped, _ = build_model(mp).forward_signal(mp, x, train=False)
     assert np.array_equal(encode_signal_batch(mp, x), taped)
+
+
+def test_layer_graph_is_shared_per_architecture():
+    assert build_model(small_params(0)) is build_model(small_params(1))
+    other = init_params(SMALL, 2 * LEN, seed=0)
+    assert build_model(other) is not build_model(small_params(0))
+
+
+@pytest.mark.parametrize("kernel,stride", [(1, 1), (1, 2), (3, 1), (7, 2)])
+def test_conv_columns_are_contiguous_shifted_taps(kernel, stride):
+    """im2col column block j is the padded input at offset j, every
+    stride-th sample, laid out C-contiguous as in a per-tap copy loop."""
+    conv = nn.Conv1d("c", 3, 5, kernel, stride=stride)
+    params = {}
+    conv.init(params, {}, np.random.default_rng(0))
+    params["c.bias"] += 0.5
+    x = np.random.default_rng(1).normal(size=(2, 3, 11))
+    y, (cols, _) = conv.forward(params, {}, x, False)
+    l_out = y.shape[2]
+    pad = kernel // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
+    taps = np.stack([xp[:, :, j : j + stride * l_out : stride]
+                     for j in range(kernel)], axis=2).reshape(2, 3 * kernel, l_out)
+    assert cols.flags.c_contiguous
+    assert np.array_equal(cols, taps)
+    want = np.matmul(params["c.weight"].reshape(5, -1), taps) + params["c.bias"][:, None]
+    assert np.array_equal(y, want)
 
 
 def test_projection_is_unit_norm():
