@@ -36,6 +36,7 @@ import sys
 from pathlib import Path
 
 from . import pipeline
+from .atomic import atomic_open
 from .authsys import authenticate_batch, load_registry, save_registry
 from .encoder import load_checkpoint, save_checkpoint
 from .errors import (
@@ -162,8 +163,8 @@ def cmd_eval(cfg, args) -> None:
     for name, doc in (("summary.json", pipeline.eval_summary(outcome)),
                       ("open_identities.json",
                        pipeline.open_identity_report(outcome))):
-        (eval_dir / name).write_text(
-            json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        with atomic_open(eval_dir / name, encoding="utf-8") as fh:
+            fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     print(f"threshold {outcome.threshold:.9f}")
     for r in outcome.ratios:
         print(f"ratio=1:{r.ratio} acc={r.accuracy:.4f} "

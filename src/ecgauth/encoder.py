@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
+from .atomic import atomic_open
 from .errors import (
     CheckpointChecksumError,
     CheckpointFormatError,
@@ -255,7 +256,13 @@ def init_params(config: EncoderConfig, input_length: int, seed: int) -> ModelPar
 # ----------------------------------------------------------------------
 # pure inference helpers
 
-_ENCODE_CHUNK = 256
+# Windows per pass through the conv trunk. For the default encoder on
+# 500-sample windows, block 0's im2col columns take 112 KB per window:
+# 28.7 MB at 256 windows, against a 2 MiB L2 cache per core. Chunks of 8 to
+# 32 windows ran equally fast, and 256-window chunks 1.5x slower per window.
+# 32 is also the training batch size, so inference allocates nothing larger
+# than a training step does.
+_ENCODE_CHUNK = 32
 
 
 def encode_signal_batch(mp: ModelParams, x: np.ndarray) -> np.ndarray:
@@ -263,21 +270,25 @@ def encode_signal_batch(mp: ModelParams, x: np.ndarray) -> np.ndarray:
 
     Runs the signal chain's layers one at a time with the same ``forward``
     code as training (``train=False``) but keeps no tape: each layer's
-    backward cache is dropped as soon as its output exists, so peak memory
-    is that of the largest layer. Large batches are processed in
-    fixed-size chunks, which bounds those activations; eval-mode
-    normalization is per-window, so chunking never changes the result.
+    backward cache is dropped as soon as its output exists. The conv trunk,
+    up to global average pooling, runs ``_ENCODE_CHUNK`` windows at a time,
+    so its activations stay cache-sized; in eval mode every trunk layer is
+    per-window, so its output does not depend on the chunk size. The final
+    ``embed`` layer then runs once over all pooled features. Its GEMM is
+    the one layer whose bits can depend on the row count, and one call over
+    the whole batch matches the taped ``forward_signal`` exactly.
     """
     model = build_model(mp)
     x = model._check_batch(x)
-    parts = []
+    *trunk, embed = model.signal_chain.layers
+    pooled = []
     # an empty batch still makes one pass, so it keeps its (0, embed_dim) shape
     for start in range(0, max(x.shape[0], 1), _ENCODE_CHUNK):
         h = x[start : start + _ENCODE_CHUNK, None, :]
-        for layer in model.signal_chain.layers:
+        for layer in trunk:
             h = layer.forward(mp.params, mp.buffers, h, False)[0]
-        parts.append(h)
-    return np.concatenate(parts, axis=0)
+        pooled.append(h)
+    return embed.forward(mp.params, mp.buffers, np.concatenate(pooled, axis=0), False)[0]
 
 
 def encode_signal(mp: ModelParams, segment) -> np.ndarray:
@@ -373,7 +384,7 @@ def save_container(path, kind: str, mp: ModelParams,
         tensor = groups[entry["group"]][entry["name"]]
         blob += np.ascontiguousarray(tensor, dtype="<f8").tobytes()
     blob += hashlib.sha256(bytes(blob)).digest()
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(bytes(blob))
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import InputError, ParameterError
 
 #: true_id marker for samples whose identity is not enrolled.
@@ -183,7 +184,7 @@ def write_embeddings_csv(path, sample_ids, true_ids, embeddings) -> None:
     if emb.ndim != 2 or len(sample_ids) != emb.shape[0] or len(true_ids) != emb.shape[0]:
         raise InputError("embedding export needs aligned ids and a 2-D matrix")
     header = "sample_id,true_id," + ",".join(f"dim_{j}" for j in range(emb.shape[1]))
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, encoding="utf-8") as fh:
         fh.write(header + "\n")
         for sid, tid, row in zip(sample_ids, true_ids, emb):
             fh.write(f"{int(sid)},{int(tid)},"

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_open
 from .authsys import Registry, enroll, score_embeddings
 from .encoder import EncoderConfig, ModelParams, encode_signal_batch, init_params
 from .errors import ConfigurationError, DependencyError, InputError
@@ -352,9 +353,8 @@ def write_corpus(cfg: RunConfig, corpus_dir) -> Path:
         "open_ids": open_ids(spec),
         "records": records,
     }
-    (corpus_dir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    with atomic_open(corpus_dir / "manifest.json", encoding="utf-8") as fh:
+        fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     logger.info("wrote corpus to %s", corpus_dir)
     return corpus_dir
 
@@ -572,7 +572,8 @@ def format_eval(outcome: EvalOutcome) -> str:
 
 
 def write_eval_csv(outcome: EvalOutcome, path) -> None:
-    Path(path).write_text(format_eval(outcome), encoding="utf-8")
+    with atomic_open(path, encoding="utf-8") as fh:
+        fh.write(format_eval(outcome))
 
 
 def eval_summary(outcome: EvalOutcome) -> dict:
@@ -731,4 +732,5 @@ def format_ablation_table(rows) -> str:
 
 
 def write_ablation_csv(rows, path) -> None:
-    Path(path).write_text(format_ablation_table(rows), encoding="utf-8")
+    with atomic_open(path, encoding="utf-8") as fh:
+        fh.write(format_ablation_table(rows))

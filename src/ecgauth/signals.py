@@ -12,12 +12,14 @@ sample (mV, decimal) per line. Parse failures report 1-based line numbers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import butter, filtfilt, find_peaks
 
+from .atomic import atomic_open
 from .errors import InputError, ParameterError, RecordParseError
 
 #: Wave order used by all five-element morphology arrays.
@@ -266,9 +268,18 @@ def synth_ecg(
     return EcgRecord(samples=x, fs=fs, subject_id=subject_id, ground_truth_peaks=peaks)
 
 
-def _bandpass(x: np.ndarray, fs: float) -> np.ndarray:
+@functools.lru_cache(maxsize=8)
+def _bandpass_coefficients(fs: float) -> tuple[np.ndarray, np.ndarray]:
     # 5-15 Hz passband isolates QRS energy from P/T waves and baseline drift.
+    # Every caller shares the cached arrays, so they are read-only.
     b, a = butter(2, [5.0, 15.0], btype="band", fs=fs)
+    b.setflags(write=False)
+    a.setflags(write=False)
+    return b, a
+
+
+def _bandpass(x: np.ndarray, fs: float) -> np.ndarray:
+    b, a = _bandpass_coefficients(fs)
     return filtfilt(b, a, x)
 
 
@@ -495,23 +506,22 @@ def segment_beats(
     peaks = np.asarray(peaks, dtype=np.int64)
     _validate_peaks(peaks, record.samples.size)
 
-    segments = []
     n = record.samples.size
-    for p in peaks:
-        lo, hi = int(p) - half_window, int(p) + half_window
-        if lo < 0 or hi > n:
-            continue
-        w = record.samples[lo:hi].astype(np.float64)
-        w = (w - w.mean()) / np.sqrt(max(float(w.var()), 1e-8))
-        segments.append(BeatSegment(window=w, r_index=int(p), subject_id=record.subject_id))
-    return segments
+    kept = peaks[(peaks >= half_window) & (peaks + half_window <= n)]
+    # one (beats, 2*half_window) gather; each row reduces exactly as a lone
+    # 1-D window would, so the windows are bit-equal to per-beat ones
+    w = record.samples[kept[:, None] + np.arange(-half_window, half_window)]
+    w = (w - w.mean(axis=1, keepdims=True)) / np.sqrt(
+        np.maximum(w.var(axis=1), 1e-8))[:, None]
+    return [BeatSegment(window=row, r_index=int(p), subject_id=record.subject_id)
+            for row, p in zip(w, kept)]
 
 
 def write_record(record: EcgRecord, path) -> None:
     """Write a record in the text ingestion format (header plus one mV/line)."""
     lines = [f"fs={record.fs!r},subject={record.subject_id}"]
     lines.extend(repr(float(v)) for v in record.samples)
-    with open(path, "w", encoding="ascii") as fh:
+    with atomic_open(path, encoding="ascii") as fh:
         fh.write("\n".join(lines))
         fh.write("\n")
 
@@ -545,12 +555,16 @@ def read_record(path) -> EcgRecord:
     if fs <= 0:
         raise RecordParseError(path, 1, f"sampling rate must be positive, got {fs_text}")
 
-    samples = np.empty(len(lines) - 1)
-    for i, line in enumerate(lines[1:], start=2):
-        try:
-            samples[i - 2] = float(line)
-        except ValueError:
-            raise RecordParseError(path, i, f"invalid sample value {line!r}") from None
+    try:
+        samples = np.fromiter(map(float, lines[1:]), np.float64, len(lines) - 1)
+    except ValueError:
+        # find the first bad line again, one at a time, for its line number
+        for i, line in enumerate(lines[1:], start=2):
+            try:
+                float(line)
+            except ValueError:
+                raise RecordParseError(path, i, f"invalid sample value {line!r}") from None
+        raise
     if samples.size == 0:
         raise RecordParseError(path, 2, "record contains no samples")
     return EcgRecord(samples=samples, fs=fs, subject_id=subject)

@@ -261,7 +261,8 @@ def finetune(labeled, params: ModelParams, cfg: TrainConfig):
 
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
-        centers = _class_medoids(mp, windows, class_idx, n_classes)
+        if epoch > 0:  # epoch 0 runs on the weights the centers above came from
+            centers = _class_medoids(mp, windows, class_idx, n_classes)
         perm = rng.permutation(n)
         sums = {"self": 0.0, "proto": 0.0, "repulsion": 0.0, "total": 0.0}
         seen = 0
@@ -308,8 +309,8 @@ def finetune(labeled, params: ModelParams, cfg: TrainConfig):
         _check_epoch_losses(losses, "finetune")
         report.epochs.append(EpochStats(epoch, losses, time.perf_counter() - t0))
 
-    # leave centers consistent with the final weights
-    centers = _class_medoids(mp, windows, class_idx, n_classes)
+    if cfg.epochs > 0:  # leave centers consistent with the final weights
+        centers = _class_medoids(mp, windows, class_idx, n_classes)
     geometry = {
         cid: ClassGeometry(center=centers[k], prototype=protos[k],
                            reciprocal=recips[k], margin=float(margins[k]))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ecgauth import encoder as encoder_module
 from ecgauth import nn
 from ecgauth.encoder import (
     REPORT_HASH_DIM,
@@ -99,18 +100,35 @@ def test_chunked_batch_matches_per_row():
     """Batches larger than the internal chunk stay consistent row-wise."""
     mp = small_params(4)
     rng = np.random.default_rng(1)
-    x = rng.normal(size=(300, LEN))  # crosses the 256-window chunk boundary
+    x = rng.normal(size=(300, LEN))  # spans ten trunk chunks, the last partial
     batch = encode_signal_batch(mp, x)
     assert batch.shape == (300, SMALL.embed_dim)
-    for i in (0, 255, 256, 299):
+    for i in (0, 31, 32, 299):
         assert np.allclose(encode_signal(mp, x[i]), batch[i], atol=1e-10)
 
 
+def _full_width_params():
+    # the default architecture on short windows: every conv and the embed
+    # layer are real BLAS GEMMs, at a test-sized cost
+    return init_params(EncoderConfig(), 64, seed=5)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 32, 300])
+def test_encoding_does_not_depend_on_trunk_chunk_size(chunk, monkeypatch):
+    mp = _full_width_params()
+    x = np.random.default_rng(2).normal(size=(300, 64))
+    want = encode_signal_batch(mp, x)
+    monkeypatch.setattr(encoder_module, "_ENCODE_CHUNK", chunk)
+    assert np.array_equal(encode_signal_batch(mp, x), want)
+
+
 def test_tape_free_encoding_equals_taped_forward():
-    mp = small_params(4)
-    x = np.random.default_rng(1).normal(size=(300, LEN))  # crosses a chunk
-    taped, _ = build_model(mp).forward_signal(mp, x, train=False)
-    assert np.array_equal(encode_signal_batch(mp, x), taped)
+    mp = _full_width_params()
+    model = build_model(mp)
+    for n in (1, 31, 33, 300):  # one partial chunk, around a boundary, many
+        x = np.random.default_rng(n).normal(size=(n, 64))
+        taped, _ = model.forward_signal(mp, x, train=False)
+        assert np.array_equal(encode_signal_batch(mp, x), taped), n
 
 
 def test_layer_graph_is_shared_per_architecture():

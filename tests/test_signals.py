@@ -287,6 +287,40 @@ def test_segment_beat_count_near_requested():
     assert 57 <= len(segs) <= 60
 
 
+def _segment_per_beat(record, peaks, half_window):
+    """Reference: one window at a time, as a plain loop over the peaks."""
+    out = []
+    for p in peaks:
+        lo, hi = int(p) - half_window, int(p) + half_window
+        if lo < 0 or hi > record.samples.size:
+            continue
+        w = record.samples[lo:hi].astype(np.float64)
+        w = (w - w.mean()) / np.sqrt(max(float(w.var()), 1e-8))
+        out.append((w, int(p)))
+    return out
+
+
+@pytest.mark.parametrize("half_window", [1, 100, 250])
+def test_segment_matches_per_beat_reference(half_window):
+    rec = synth_ecg(canonical_morph(noise=0.03, jitter=1.0), n_beats=30,
+                    fs=250.0, seed=15, subject_id=7)
+    peaks = detect_r_peaks(rec)
+    # a nearly flat 2-sample window, whose variance is under the 1e-8 floor
+    rec.samples[peaks[3] - 2 : peaks[3] + 2] = 0.25 + 1e-5 * np.arange(4)
+    segs = segment_beats(rec, peaks, half_window)
+    want = _segment_per_beat(rec, peaks, half_window)
+    assert len(segs) == len(want)
+    for seg, (w, r) in zip(segs, want):
+        assert seg.window.tobytes() == w.tobytes()
+        assert seg.r_index == r and seg.subject_id == 7
+
+
+def test_segment_without_whole_windows_is_empty():
+    rec = synth_ecg(canonical_morph(), n_beats=3, fs=250.0, seed=16)
+    assert segment_beats(rec, detect_r_peaks(rec), rec.samples.size) == []
+    assert segment_beats(rec, np.empty(0, dtype=np.int64), 10) == []
+
+
 def test_segment_invalid_inputs():
     rec = synth_ecg(canonical_morph(), n_beats=5, fs=250.0, seed=11)
     peaks = detect_r_peaks(rec)
@@ -321,6 +355,34 @@ def test_record_file_is_byte_stable(tmp_path):
     write_record(rec, a)
     write_record(rec, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_read_record_matches_per_line_reference(tmp_path):
+    rec = synth_ecg(canonical_morph(noise=0.03), n_beats=6, fs=250.0, seed=17)
+    path = tmp_path / "rec.ecg"
+    write_record(rec, path)
+    # float() spellings a hand-written record may use
+    extra = [" 1.5 ", "-0", "1e-3", "+2.", "1_000.25", "\t-3.25e+01\r"]
+    path.write_text(path.read_text(encoding="ascii") + "\n".join(extra) + "\n",
+                    encoding="ascii")
+    lines = path.read_text(encoding="ascii").split("\n")[1:-1]
+    want = np.empty(len(lines))
+    for i, line in enumerate(lines):
+        want[i] = float(line)
+    assert read_record(path).samples.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_read_record_reports_the_bad_line(tmp_path, where):
+    rec = synth_ecg(canonical_morph(), n_beats=3, fs=250.0, seed=18)
+    path = tmp_path / "rec.ecg"
+    write_record(rec, path)
+    lines = path.read_text(encoding="ascii").splitlines()
+    index = {"first": 1, "middle": len(lines) // 2, "last": len(lines) - 1}[where]
+    lines[index] = "1.0.0"
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    with pytest.raises(RecordParseError, match=f":{index + 1}: invalid sample value '1.0.0'"):
+        read_record(path)
 
 
 def test_read_record_rejects_corruption(tmp_path):

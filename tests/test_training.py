@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ecgauth import training
 from ecgauth.encoder import EncoderConfig, encode_signal_batch, init_params
 from ecgauth.errors import ConfigurationError, InputError, ParameterError
 from ecgauth.losses import LossWeights, compute_medoid
@@ -223,3 +224,24 @@ def test_finetune_zero_epochs_starts_geometry_at_medoids(labeled):
         assert np.array_equal(geo.center, compute_medoid(encode_signal_batch(mp, windows)))
         assert np.array_equal(geo.prototype, geo.center)
         assert geo.margin == 1.0
+
+
+@pytest.mark.parametrize("epochs", [0, 1, 3])
+def test_finetune_refreshes_medoids_once_per_distinct_weights(labeled, epochs,
+                                                              monkeypatch):
+    """One refresh before training and one after each epoch that changed the
+    weights; epoch 0 reuses the initial centers, which came from the same
+    weights."""
+    calls = []
+    original = training._class_medoids
+
+    def counting(*args):
+        calls.append(args[0].checksum())
+        return original(*args)
+
+    monkeypatch.setattr(training, "_class_medoids", counting)
+    cfg = TrainConfig(batch_size=8, epochs=epochs, seed=18)
+    tuned, _, _ = finetune(labeled, _init_mp(labeled), cfg)
+    assert len(calls) == epochs + 1
+    assert len(set(calls)) == len(calls)  # never twice on the same weights
+    assert calls[-1] == tuned.checksum()
