@@ -74,9 +74,9 @@ def _registry_path(cfg) -> Path:
     return Path(cfg.out_dir) / "registry.reg"
 
 
-def _load_corpus(cfg) -> pipeline.Corpus:
+def _load_corpus(cfg, include_open: bool) -> pipeline.Corpus:
     try:
-        return pipeline.load_corpus(_corpus_dir(cfg))
+        return pipeline.load_corpus(_corpus_dir(cfg), include_open=include_open)
     except DependencyError as exc:
         raise DependencyError(f"{exc} (run `ecgauth synth` first)") from None
 
@@ -98,7 +98,7 @@ def cmd_synth(cfg, args) -> None:
 
 
 def cmd_pretrain(cfg, args) -> None:
-    corpus = _load_corpus(cfg)
+    corpus = _load_corpus(cfg, include_open=False)
     params, report = pipeline.pretrain_stage(corpus, cfg)
     for line in report.to_lines():
         logger.info("%s", line)
@@ -110,7 +110,7 @@ def cmd_pretrain(cfg, args) -> None:
 
 
 def cmd_finetune(cfg, args) -> None:
-    corpus = _load_corpus(cfg)
+    corpus = _load_corpus(cfg, include_open=False)
     if cfg.use_pretrain:
         ckpt = _checkpoint_path(cfg)
         if not ckpt.exists():
@@ -148,7 +148,7 @@ def cmd_auth(cfg, args) -> None:
 
 
 def cmd_eval(cfg, args) -> None:
-    corpus = _load_corpus(cfg)
+    corpus = _load_corpus(cfg, include_open=True)
     registry = _load_registry(cfg)
     outcome = pipeline.evaluate(corpus, cfg, registry)
     eval_dir = Path(cfg.out_dir) / "eval"

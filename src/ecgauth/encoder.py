@@ -155,18 +155,26 @@ class DualEncoder:
         order; biases start at zero, batch-norm at identity, running
         statistics at mean 0 / variance 1. Bit-reproducible per seed.
         """
-        rng = np.random.default_rng(seed)
-        params: dict[str, np.ndarray] = {}
-        buffers: dict[str, np.ndarray] = {}
-        for chain in (self.signal_chain, self.signal_proj,
-                      self.report_linear, self.report_proj):
-            chain.init(params, buffers, rng)
+        params, buffers = self._init_tensors(np.random.default_rng(seed))
         return ModelParams(
             config=self.config,
             input_length=self.input_length,
             params=params,
             buffers=buffers,
         )
+
+    def tensor_shapes(self) -> dict[str, tuple[int, ...]]:
+        """The shape of every parameter and buffer; draws no random numbers."""
+        params, buffers = self._init_tensors(_NoDraws())
+        return {k: v.shape for k, v in {**params, **buffers}.items()}
+
+    def _init_tensors(self, rng):
+        params: dict[str, np.ndarray] = {}
+        buffers: dict[str, np.ndarray] = {}
+        for chain in (self.signal_chain, self.signal_proj,
+                      self.report_linear, self.report_proj):
+            chain.init(params, buffers, rng)
+        return params, buffers
 
     # ------------------------------------------------------------------
     # signal branch
@@ -231,6 +239,15 @@ class DualEncoder:
             d = self.report_proj.backward(mp.params, d, proj_tape, grads)
         self.report_linear.backward(mp.params, d, chain_tape, grads)
         return grads
+
+
+class _NoDraws:
+    """Stands in for the init RNG where only tensor shapes are wanted: each
+    draw is a zero-byte broadcast view of the requested shape."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.broadcast_to(0.0, size)
 
 
 def build_model(mp: ModelParams) -> DualEncoder:
@@ -466,11 +483,9 @@ def load_container(path, expected_kind: str):
 def _validate_shapes(mp: ModelParams, path):
     """Reject containers whose tensors do not fit the declared architecture."""
     try:
-        reference = init_params(mp.config, mp.input_length, seed=0)
+        ref_shapes = _layer_graph(mp.config, mp.input_length).tensor_shapes()
     except ParameterError as exc:
         raise CheckpointFormatError(f"{path}: invalid architecture ({exc})") from exc
-    ref_shapes = {k: v.shape for k, v in reference.params.items()}
-    ref_shapes.update({k: v.shape for k, v in reference.buffers.items()})
     got_shapes = {k: v.shape for k, v in mp.params.items()}
     got_shapes.update({k: v.shape for k, v in mp.buffers.items()})
     if ref_shapes != got_shapes:

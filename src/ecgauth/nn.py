@@ -5,13 +5,19 @@ of the intermediate activations that ``backward`` needs; a chain of layers
 keeps the per-layer caches as a tape and replays them in reverse. Parameters
 and non-trainable buffers (batch-norm running statistics) live in plain
 ``dict[str, np.ndarray]`` keyed by dotted layer names.
+
+To save allocations, some layers write their result over an array they were
+handed: batch norm over the convolution output it normalizes, ReLU over its
+input, a backward pass over the gradient it received. Each does so only
+where the array was freshly made by the layer before it and no cache holds
+it; the comment at each such write names the array.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ShapeError, StateError
 
 _BN_EPS = 1e-5
 _BN_MOMENTUM = 0.1
@@ -50,7 +56,8 @@ class Conv1d:
         taps = np.ndarray((b, c, k, l_out), xp.dtype, xp, 0, (sb, sc, sl, s * sl))
         cols = np.ascontiguousarray(taps).reshape(b, c * k, l_out)
         w = params[f"{self.name}.weight"].reshape(self.c_out, c * k)
-        y = np.matmul(w, cols) + params[f"{self.name}.bias"][:, None]
+        y = np.matmul(w, cols)
+        y += params[f"{self.name}.bias"][:, None]
         return y, (cols, (b, c, length))
 
     def backward(self, params, dy, cache, grads):
@@ -62,10 +69,16 @@ class Conv1d:
                np.tensordot(dy, cols, axes=([0, 2], [0, 2])).reshape(self.c_out, c, k))
         _accum(grads, f"{self.name}.bias", dy.sum(axis=(0, 2)))
         dcols = np.matmul(w.T, dy).reshape(b, c, k, l_out)
-        dxp = np.zeros((b, c, length + 2 * p))
+        # col2im: output t of tap j read x[j - p + s*t]; reads of the zero
+        # padding get no gradient, so only the t that land inside x are added
+        dx = np.zeros((b, c, length))
         for j in range(k):
-            dxp[:, :, j : j + s * l_out : s] += dcols[:, :, j, :]
-        return dxp[:, :, p : p + length]
+            t0 = max(0, -((j - p) // s))
+            t1 = min(l_out, (length - 1 - j + p) // s + 1)
+            if t1 > t0:
+                start = j - p + s * t0
+                dx[:, :, start : start + s * (t1 - t0) : s] += dcols[:, :, j, t0:t1]
+        return dx
 
 
 class BatchNorm1d:
@@ -73,7 +86,9 @@ class BatchNorm1d:
 
     Training mode uses population batch statistics and updates running
     averages with momentum 0.1; inference mode applies the stored averages.
-    Epsilon is 1e-5.
+    Epsilon is 1e-5. The input is always a convolution's fresh output, which
+    no cache holds, so ``forward`` writes its result over it. Inference mode
+    keeps no backward cache, and ``backward`` on it raises ``StateError``.
     """
 
     def __init__(self, name: str, channels: int):
@@ -87,36 +102,49 @@ class BatchNorm1d:
         buffers[f"{self.name}.running_var"] = np.ones(self.channels)
 
     def forward(self, params, buffers, x, train):
-        gamma = params[f"{self.name}.gamma"]
-        beta = params[f"{self.name}.beta"]
-        if train:
-            mu = x.mean(axis=(0, 2))
-            var = x.var(axis=(0, 2))
-            rm, rv = f"{self.name}.running_mean", f"{self.name}.running_var"
-            buffers[rm] = (1.0 - _BN_MOMENTUM) * buffers[rm] + _BN_MOMENTUM * mu
-            buffers[rv] = (1.0 - _BN_MOMENTUM) * buffers[rv] + _BN_MOMENTUM * var
-        else:
+        gamma = params[f"{self.name}.gamma"][:, None]
+        beta = params[f"{self.name}.beta"][:, None]
+        if not train:
             mu = buffers[f"{self.name}.running_mean"]
             var = buffers[f"{self.name}.running_var"]
-        invstd = 1.0 / np.sqrt(var + _BN_EPS)
+            x -= mu[:, None]
+            x *= (1.0 / np.sqrt(var + _BN_EPS))[:, None]
+            x *= gamma
+            x += beta
+            return x, None
+        mu = x.mean(axis=(0, 2))
         xhat = x - mu[:, None]
+        # the mean squared deviation, as x.var computes it; x is scratch now
+        var = np.square(xhat, out=x).sum(axis=(0, 2)) / (x.shape[0] * x.shape[2])
+        rm, rv = f"{self.name}.running_mean", f"{self.name}.running_var"
+        buffers[rm] = (1.0 - _BN_MOMENTUM) * buffers[rm] + _BN_MOMENTUM * mu
+        buffers[rv] = (1.0 - _BN_MOMENTUM) * buffers[rv] + _BN_MOMENTUM * var
+        invstd = 1.0 / np.sqrt(var + _BN_EPS)
         xhat *= invstd[:, None]
-        y = gamma[:, None] * xhat
-        y += beta[:, None]
-        return y, (xhat, invstd, train)
+        np.multiply(gamma, xhat, out=x)
+        x += beta
+        return x, (xhat, invstd)
 
     def backward(self, params, dy, cache, grads):
-        xhat, invstd, train = cache
+        if cache is None:
+            raise StateError(f"{self.name}: backward through an inference-mode "
+                             "batch norm, which keeps no backward cache")
+        xhat, invstd = cache
         gamma = params[f"{self.name}.gamma"]
-        _accum(grads, f"{self.name}.gamma", (dy * xhat).sum(axis=(0, 2)))
+        # dy is left intact: a residual block hands the same dy to two layers
+        scratch = dy * xhat
+        _accum(grads, f"{self.name}.gamma", scratch.sum(axis=(0, 2)))
         _accum(grads, f"{self.name}.beta", dy.sum(axis=(0, 2)))
         dxhat = dy * gamma[:, None]
-        if not train:
-            return dxhat * invstd[:, None]
         n = dy.shape[0] * dy.shape[2]
         s1 = dxhat.sum(axis=(0, 2), keepdims=True)
-        s2 = (dxhat * xhat).sum(axis=(0, 2), keepdims=True)
-        return (invstd[:, None] / n) * (n * dxhat - s1 - xhat * s2)
+        s2 = np.multiply(dxhat, xhat, out=scratch).sum(axis=(0, 2), keepdims=True)
+        # (invstd / n) * (n * dxhat - s1 - xhat * s2), written over dxhat
+        dxhat *= n
+        dxhat -= s1
+        dxhat -= np.multiply(xhat, s2, out=scratch)
+        dxhat *= invstd[:, None] / n
+        return dxhat
 
 
 class ReLU:
@@ -126,11 +154,15 @@ class ReLU:
         pass
 
     def forward(self, params, buffers, x, train):
+        # x is the fresh output of a batch norm or linear layer
         mask = x > 0
-        return x * mask, mask
+        x *= mask
+        return x, mask
 
     def backward(self, params, dy, cache, grads):
-        return dy * cache
+        # dy is the fresh input gradient of the layer after this one
+        dy *= cache
+        return dy
 
 
 class Linear:
@@ -223,19 +255,21 @@ class ResidualBlock:
         s, c7 = self.skip_bn.forward(params, buffers, s, train)
         h += s  # h is bn2's fresh output; no cache holds it
         mask = h > 0
-        return h * mask, (c1, c2, c3, c4, c5, c6, c7, mask)
+        h *= mask
+        return h, (c1, c2, c3, c4, c5, c6, c7, mask)
 
     def backward(self, params, dy, cache, grads):
         c1, c2, c3, c4, c5, c6, c7, mask = cache
-        d = dy * mask
-        ds = self.skip_bn.backward(params, d, c7, grads)
+        dy *= mask  # dy is the fresh input gradient of the layer after this block
+        ds = self.skip_bn.backward(params, dy, c7, grads)
         dx_skip = self.skip_conv.backward(params, ds, c6, grads)
-        dh = self.bn2.backward(params, d, c5, grads)
+        dh = self.bn2.backward(params, dy, c5, grads)
         dh = self.conv2.backward(params, dh, c4, grads)
         dh = self.relu.backward(params, dh, c3, grads)
         dh = self.bn1.backward(params, dh, c2, grads)
         dx_main = self.conv1.backward(params, dh, c1, grads)
-        return dx_main + dx_skip
+        dx_main += dx_skip
+        return dx_main
 
 
 class Chain:

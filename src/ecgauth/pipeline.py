@@ -22,7 +22,7 @@ import numpy as np
 from .atomic import atomic_open
 from .authsys import Registry, enroll, score_embeddings
 from .encoder import EncoderConfig, ModelParams, encode_signal_batch, init_params
-from .errors import ConfigurationError, DependencyError, InputError
+from .errors import ConfigurationError, DependencyError, InputError, StateError
 from .losses import LossWeights
 from .metrics import (
     OPEN,
@@ -274,12 +274,17 @@ class IdentityData:
 
 @dataclass
 class Corpus:
-    """Enrolled and open identities, segmented and ready for the pipeline."""
+    """Enrolled and open identities, segmented and ready for the pipeline.
+
+    ``open_set`` is None when the corpus was loaded for training only
+    (``load_corpus(..., include_open=False)``); ``evaluate`` rejects such a
+    corpus.
+    """
 
     fs: float
     half_window: int
     enrolled: dict[int, IdentityData]
-    open_set: dict[int, IdentityData]
+    open_set: dict[int, IdentityData] | None
 
 
 def enrolled_ids(spec: CorpusSpec) -> list[int]:
@@ -359,8 +364,14 @@ def write_corpus(cfg: RunConfig, corpus_dir) -> Path:
     return corpus_dir
 
 
-def load_corpus(corpus_dir) -> Corpus:
-    """Load a written corpus; peaks and segments are re-derived (deterministic)."""
+def load_corpus(corpus_dir, include_open: bool = True) -> Corpus:
+    """Load a written corpus; peaks and segments are re-derived (deterministic).
+
+    The whole manifest is always parsed and checked. With
+    ``include_open=False`` the open identities' record files are not read
+    and the corpus' ``open_set`` is None. The training stages use only the
+    enrolled records, so a damaged open record is reported by evaluation.
+    """
     corpus_dir = Path(corpus_dir)
     manifest_path = corpus_dir / "manifest.json"
     if not manifest_path.exists():
@@ -389,7 +400,7 @@ def load_corpus(corpus_dir) -> Corpus:
 
     return Corpus(fs=fs, half_window=half_window,
                   enrolled=load_split(enrolled_paths),
-                  open_set=load_split(open_paths))
+                  open_set=load_split(open_paths) if include_open else None)
 
 
 # ----------------------------------------------------------------------
@@ -499,6 +510,9 @@ def evaluate(corpus: Corpus, cfg: RunConfig, registry: Registry,
     exported embeddings come from the same pass, so the sweep costs one
     encoder pass plus one sort per ratio.
     """
+    if corpus.open_set is None:
+        raise StateError("evaluate needs the open identities, but the corpus "
+                         "was loaded without them")
     ratios = tuple(ratios) if ratios is not None else cfg.open_ratios
     n_enrolled = len(corpus.enrolled)
     all_open = sorted(corpus.open_set)

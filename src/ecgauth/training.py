@@ -119,11 +119,23 @@ class _Adam:
             g = grads[key]
             m = self.m.setdefault(key, np.zeros_like(g))
             v = self.v.setdefault(key, np.zeros_like(g))
+            # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+            # tensor -= lr * (m/c1) / (sqrt(v/c2) + eps), in that order of
+            # operations, through two scratch arrays
+            scratch = (1.0 - self.b1) * g
             m *= self.b1
-            m += (1.0 - self.b1) * g
+            m += scratch
+            np.multiply(1.0 - self.b2, g, out=scratch)
+            scratch *= g
             v *= self.b2
-            v += (1.0 - self.b2) * g * g
-            tensors[key] -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            v += scratch
+            step = m / c1
+            step *= self.lr
+            np.divide(v, c2, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += self.eps
+            step /= scratch
+            tensors[key] -= step
 
 
 class _Sgd:

@@ -17,8 +17,13 @@ import pytest
 from ecgauth import pipeline
 from ecgauth.authsys import load_registry, save_registry
 from ecgauth.cli import main
-from ecgauth.encoder import EncoderConfig, encode_signal_batch
-from ecgauth.errors import ConfigurationError
+from ecgauth.encoder import (
+    EncoderConfig,
+    encode_signal_batch,
+    load_checkpoint,
+    save_checkpoint,
+)
+from ecgauth.errors import ConfigurationError, StateError
 from ecgauth.metrics import OPEN
 from ecgauth.signals import IdentityMorphology, synth_ecg, write_record
 from ecgauth.training import TrainConfig
@@ -373,6 +378,16 @@ def test_corrupt_checkpoint_exit_code(workspace, tmp_path):
                 "--out", str(target)) == 5
 
 
+def test_checkpoint_tensor_mismatch_exit_code(workspace, tmp_path):
+    cfg_path, out = workspace
+    target = _copy_corpus(out, tmp_path / "badtensors")
+    mp = load_checkpoint(out / "pretrain.ckpt")
+    mp.params["embed.bias"] = np.zeros(mp.config.embed_dim + 1)
+    save_checkpoint(mp, target / "pretrain.ckpt")
+    assert _run("finetune", "--config", str(cfg_path),
+                "--out", str(target)) == 5
+
+
 @pytest.mark.parametrize("change", [
     lambda enc: enc.pop("proj_dim"),
     lambda enc: enc.update(dropout=0.1),
@@ -391,6 +406,31 @@ def test_encoder_header_keys_must_match_config(workspace, tmp_path, change):
     (target / "pretrain.ckpt").write_bytes(body + hashlib.sha256(body).digest())
     assert _run("finetune", "--config", str(cfg_path),
                 "--out", str(target)) == 5
+
+
+def test_training_reads_only_enrolled_records(workspace, tmp_path):
+    """A damaged open record leaves pretrain and finetune untouched; eval,
+    the first stage that reads it, reports it."""
+    cfg_path, out = workspace
+    target = _copy_corpus(out, tmp_path / "badopen")
+    manifest = json.loads((target / "corpus" / "manifest.json").read_text())
+    open_record = manifest["records"][str(manifest["open_ids"][-1])]
+    (target / "corpus" / open_record).write_text("garbage\n", encoding="utf-8")
+    args = ("--config", str(cfg_path), "--out", str(target))
+    assert _run("pretrain", *args) == 0
+    assert _run("finetune", *args) == 0
+    for name in ("pretrain.ckpt", "registry.reg"):
+        assert (target / name).read_bytes() == (out / name).read_bytes()
+    assert _run("eval", *args) == 4
+
+
+def test_evaluate_rejects_a_corpus_loaded_without_open_identities(workspace):
+    cfg_path, out = workspace
+    corpus = pipeline.load_corpus(out / "corpus", include_open=False)
+    assert corpus.open_set is None
+    with pytest.raises(StateError, match="open identities"):
+        pipeline.evaluate(corpus, pipeline.config_from_path(cfg_path),
+                          load_registry(out / "registry.reg"))
 
 
 def test_missing_record_exit_code(workspace):

@@ -314,6 +314,32 @@ def test_checkpoint_corruption_errors_are_distinct(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("damage", [
+    lambda mp: mp.params.update({"embed.bias": np.zeros(mp.config.embed_dim + 1)}),
+    lambda mp: mp.buffers.pop("stem.bn.running_var"),
+    lambda mp: mp.params.update({"extra.weight": np.zeros(3)}),
+], ids=["wrong-shape", "missing", "surplus"])
+def test_tensor_manifest_must_match_architecture(tmp_path, damage):
+    mp = small_params(14)
+    damage(mp)
+    path = tmp_path / "bad.ckpt"
+    save_checkpoint(mp, path)
+    with pytest.raises(CheckpointFormatError, match="declared architecture"):
+        load_checkpoint(path)
+
+
+def test_loading_draws_no_random_numbers(tmp_path, monkeypatch):
+    mp = small_params(15)
+    path = tmp_path / "enc.ckpt"
+    save_checkpoint(mp, path)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("loading a checkpoint created a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    assert load_checkpoint(path).checksum() == mp.checksum()
+
+
 def test_container_kind_mismatch(tmp_path):
     mp = small_params(12)
     path = tmp_path / "thing.bin"
