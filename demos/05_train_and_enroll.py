@@ -14,7 +14,14 @@ Runs in a few seconds on one core.
 
 import numpy as np
 
-from ecgauth import CorpusSpec, EncoderConfig, RunConfig, TrainConfig, build_corpus
+from ecgauth import (
+    CorpusSpec,
+    EncoderConfig,
+    FinetuneConfig,
+    PretrainConfig,
+    RunConfig,
+    build_corpus,
+)
 from ecgauth.encoder import encode_signal_batch
 from ecgauth.pipeline import make_pretrain_pairs, make_splits
 from ecgauth.training import finetune, pretrain
@@ -25,8 +32,8 @@ cfg = RunConfig(
                       half_window=125),
     encoder=EncoderConfig(n_blocks=2, channels=(8, 16), kernel_size=5,
                           embed_dim=32, proj_dim=16),
-    pretrain=TrainConfig(epochs=15, batch_size=16, learning_rate=1e-3, seed=5),
-    finetune=TrainConfig(epochs=30, batch_size=16, learning_rate=1e-3, seed=5),
+    pretrain=PretrainConfig(epochs=15, batch_size=16, learning_rate=1e-3),
+    finetune=FinetuneConfig(epochs=30, batch_size=16, learning_rate=1e-3),
     open_ratios=(1, 2),
 )
 
@@ -37,14 +44,14 @@ print(f"corpus: {len(corpus.enrolled)} enrolled + {len(corpus.open_set)} open "
 
 # ---- stage one: contrastive pretraining --------------------------------
 pairs = make_pretrain_pairs(corpus)
-params, report = pretrain(pairs, cfg.pretrain, cfg.encoder)
+params, report = pretrain(pairs, cfg.pretrain, cfg.seed, cfg.encoder)
 losses = [e.losses["contrastive"] for e in report.epochs]
 print(f"pretrain: contrastive loss {losses[0]:.4f} -> {losses[-1]:.4f} "
       f"over {len(losses)} epochs on {len(pairs)} pairs")
 
 # ---- stage two: geometry fine-tuning ------------------------------------
 train, val, test = make_splits(corpus)
-tuned, geometry, ft_report = finetune(train, params, cfg.finetune)
+tuned, geometry, ft_report = finetune(train, params, cfg.finetune, cfg.seed)
 first, last = ft_report.epochs[0].losses, ft_report.epochs[-1].losses
 print(f"finetune: total loss {first['total']:.4f} -> {last['total']:.4f} "
       f"(self {last['self']:.4f}, proto {last['proto']:.4f}, "

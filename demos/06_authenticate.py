@@ -13,8 +13,9 @@ from pathlib import Path
 from ecgauth import (
     CorpusSpec,
     EncoderConfig,
+    FinetuneConfig,
+    PretrainConfig,
     RunConfig,
-    TrainConfig,
     authenticate,
     authenticate_batch,
     build_corpus,
@@ -29,8 +30,8 @@ cfg = RunConfig(
                       half_window=125),
     encoder=EncoderConfig(n_blocks=2, channels=(8, 16), kernel_size=5,
                           embed_dim=32, proj_dim=16),
-    pretrain=TrainConfig(epochs=15, batch_size=16, learning_rate=1e-3),
-    finetune=TrainConfig(epochs=30, batch_size=16, learning_rate=1e-3),
+    pretrain=PretrainConfig(epochs=15, batch_size=16, learning_rate=1e-3),
+    finetune=FinetuneConfig(epochs=30, batch_size=16, learning_rate=1e-3),
     open_ratios=(1, 2),
 )
 corpus = build_corpus(cfg)

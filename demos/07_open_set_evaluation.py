@@ -16,7 +16,14 @@ Growing the open set relative to the enrolled set shows how acceptance
 errors scale with exposure.
 """
 
-from ecgauth import CorpusSpec, EncoderConfig, RunConfig, TrainConfig, build_corpus
+from ecgauth import (
+    CorpusSpec,
+    EncoderConfig,
+    FinetuneConfig,
+    PretrainConfig,
+    RunConfig,
+    build_corpus,
+)
 from ecgauth.pipeline import enroll_stage, evaluate, pretrain_stage
 
 cfg = RunConfig(
@@ -25,8 +32,8 @@ cfg = RunConfig(
                       half_window=125),
     encoder=EncoderConfig(n_blocks=2, channels=(8, 16), kernel_size=5,
                           embed_dim=32, proj_dim=16),
-    pretrain=TrainConfig(epochs=15, batch_size=16, learning_rate=1e-3),
-    finetune=TrainConfig(epochs=30, batch_size=16, learning_rate=1e-3),
+    pretrain=PretrainConfig(epochs=15, batch_size=16, learning_rate=1e-3),
+    finetune=FinetuneConfig(epochs=30, batch_size=16, learning_rate=1e-3),
     open_ratios=(1, 2, 4),
 )
 corpus = build_corpus(cfg)

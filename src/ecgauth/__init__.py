@@ -56,12 +56,17 @@ from .signals import (
 )
 from .losses import (
     ClassGeometry,
-    LossWeights,
     compute_medoid,
     contrastive_loss,
     prototype_prob,
 )
-from .training import TrainConfig, TrainReport, finetune, pretrain
+from .training import (
+    FinetuneConfig,
+    PretrainConfig,
+    TrainReport,
+    finetune,
+    pretrain,
+)
 from .authsys import (
     Decision,
     Registry,

@@ -21,7 +21,7 @@ import numpy as np
 from .encoder import ModelParams, encode_signal_batch, load_container, save_container
 from .errors import CheckpointFormatError, InputError, ParameterError
 from .losses import ClassGeometry, prototype_prob
-from .training import TrainConfig, finetune
+from .training import FinetuneConfig, finetune
 
 logger = logging.getLogger("ecgauth.authsys")
 
@@ -81,29 +81,31 @@ class Registry:
         return h.hexdigest()
 
 
-def _config_digest(cfg: TrainConfig, params: ModelParams) -> str:
+def _config_digest(cfg: FinetuneConfig, seed: int, params: ModelParams) -> str:
     doc = {
         "train": dataclasses.asdict(cfg),
+        "seed": seed,
         "encoder": dataclasses.asdict(params.config),
         "input_length": params.input_length,
     }
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
-def enroll(labeled, params: ModelParams, cfg: TrainConfig,
+def enroll(labeled, params: ModelParams, cfg: FinetuneConfig, seed: int,
            validation=None) -> Registry:
     """Fine-tune on labeled segments and package a calibrated registry.
 
     The threshold is calibrated on ``validation`` (sequence of
     (BeatSegment, id)) when given, otherwise on the enrollment segments
-    themselves. Deterministic for fixed data and cfg.seed.
+    themselves. Deterministic for fixed data, cfg and seed.
     """
-    tuned, geometry, _ = finetune(labeled, params, cfg)
+    tuned, geometry, _ = finetune(labeled, params, cfg, seed)
     registry = Registry(
         params=tuned,
         geometry=geometry,
         threshold=_FALLBACK_THRESHOLD,
-        metadata={"seed": cfg.seed, "config_digest": _config_digest(cfg, params)},
+        metadata={"seed": seed,
+                  "config_digest": _config_digest(cfg, seed, params)},
     )
     registry.threshold = calibrate_threshold(
         registry, validation if validation is not None else labeled

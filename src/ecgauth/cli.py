@@ -134,8 +134,9 @@ def cmd_auth(cfg, args) -> None:
     if not record_path.exists():
         raise InputError(f"record file not found: {record_path}")
     record = read_record(record_path)
+    # the window the registry was trained on, whatever the config says
     segments = segment_beats(record, detect_r_peaks(record),
-                             cfg.corpus.half_window)
+                             registry.params.input_length // 2)
     if not segments:
         print("no beats detected", file=sys.stderr)
         return

@@ -3,8 +3,10 @@
 Four losses: the symmetric cross-modal contrastive loss, a self-constraint
 center loss against per-class medoid centers, a distance-softmax prototype
 loss, and a reciprocal-point repulsion hinge; fine-tuning weights the last
-three with LossWeights. Distances are squared Euclidean throughout except the
-medoid, which minimizes the sum of plain Euclidean distances.
+three with ``FinetuneConfig.alpha``, ``beta`` and ``gamma``, and
+``PretrainConfig.tau`` is the contrastive temperature. Distances are squared
+Euclidean throughout except the medoid, which minimizes the sum of plain
+Euclidean distances.
 
 Each ``*_grad`` function returns the loss together with analytic gradients;
 they are plain functions of their inputs (no hidden state), so central finite
@@ -22,22 +24,6 @@ from .errors import InputError, ParameterError, ShapeError
 # exp() underflows to zero below roughly -745; clipping shifted logits here
 # keeps every probability strictly positive without changing the argmax.
 _LOGIT_FLOOR = -700.0
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Scalar weights of the fine-tuning objective and the contrastive temperature."""
-
-    alpha: float = 0.1
-    beta: float = 1.0
-    gamma: float = 0.1
-    tau: float = 0.07
-
-    def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0 or self.gamma < 0:
-            raise ParameterError("loss weights must be non-negative")
-        if not self.tau > 0:
-            raise ParameterError("temperature tau must be positive")
 
 
 @dataclass
@@ -204,17 +190,12 @@ def prototype_prob(feature: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
-def prototype_loss(features, labels, prototypes) -> float:
-    """Batch mean of -log Prob(label | feature) + d(feature, P_label)."""
-    loss, _, _ = prototype_loss_grad(features, labels, prototypes)
-    return loss
-
-
 def prototype_loss_grad(features, labels, prototypes):
     """Prototype loss with gradients for both features and prototypes.
 
-    Per sample the loss is 2 d_y + logsumexp_k(-d_k) (the cross-entropy term
-    expanded), so d(loss)/d(d_k) = (2 [k==y] - p_k) / batch.
+    The loss is the batch mean of -log Prob(label | feature) + d(feature,
+    P_label). Per sample that is 2 d_y + logsumexp_k(-d_k) (the cross-entropy
+    term expanded), so d(loss)/d(d_k) = (2 [k==y] - p_k) / batch.
     """
     f = np.asarray(features, dtype=np.float64)
     p = np.asarray(prototypes, dtype=np.float64)

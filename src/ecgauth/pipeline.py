@@ -23,7 +23,6 @@ from .atomic import atomic_open
 from .authsys import Registry, enroll, score_embeddings
 from .encoder import EncoderConfig, ModelParams, encode_signal_batch, init_params
 from .errors import ConfigurationError, DependencyError, InputError, StateError
-from .losses import LossWeights
 from .metrics import (
     OPEN,
     OpenSetCurve,
@@ -47,7 +46,7 @@ from .signals import (
     synth_ecg,
     write_record,
 )
-from .training import TrainConfig, TrainReport, pretrain
+from .training import FinetuneConfig, PretrainConfig, TrainReport, pretrain
 
 logger = logging.getLogger("ecgauth.pipeline")
 
@@ -105,10 +104,6 @@ class CorpusSpec:
         return 2 * self.half_window
 
 
-def _default_finetune() -> TrainConfig:
-    return TrainConfig(epochs=30, learning_rate=5e-4)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """One declarative description of a full experiment."""
@@ -117,8 +112,8 @@ class RunConfig:
     out_dir: str = "runs/default"
     corpus: CorpusSpec = field(default_factory=CorpusSpec)
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
-    pretrain: TrainConfig = field(default_factory=TrainConfig)
-    finetune: TrainConfig = field(default_factory=_default_finetune)
+    pretrain: PretrainConfig = field(default_factory=PretrainConfig)
+    finetune: FinetuneConfig = field(default_factory=FinetuneConfig)
     use_pretrain: bool = True
     open_ratios: tuple[int, ...] = (1, 2, 3, 5, 10)
 
@@ -139,25 +134,14 @@ class RunConfig:
             )
 
 
-# The loss weights each training stage reads, in LossWeights field order.
-# They sit flat in the stage's config section; the stage seed is left out
-# because run_experiment stamps the top-level seed into each stage.
-_WEIGHT_KEYS = {"pretrain": ("tau",), "finetune": ("alpha", "beta", "gamma")}
-
-
 def default_config_dict() -> dict:
     """The default experiment as a plain config tree (JSON-serializable).
 
     The tree is also the schema: config_from_dict accepts exactly its keys,
     each leaf with the type of its default.
     """
-    tree = dataclasses.asdict(RunConfig())
-    for stage, keys in _WEIGHT_KEYS.items():
-        section = tree[stage]
-        weights = section.pop("weights")
-        del section["seed"]
-        section.update((k, weights[k]) for k in keys)
-    return _plain({"schema_version": SCHEMA_VERSION, **tree})
+    return _plain({"schema_version": SCHEMA_VERSION,
+                   **dataclasses.asdict(RunConfig())})
 
 
 def _plain(value):
@@ -237,11 +221,7 @@ def config_from_dict(data: dict) -> RunConfig:
     defaults = RunConfig()
     try:
         for name, section in tree.items():
-            if name in _WEIGHT_KEYS:
-                weights = LossWeights(**{k: section.pop(k)
-                                         for k in _WEIGHT_KEYS[name]})
-                tree[name] = TrainConfig(weights=weights, **section)
-            elif isinstance(section, dict):
+            if isinstance(section, dict):
                 tree[name] = type(getattr(defaults, name))(**section)
         return RunConfig(**tree)
     except (TypeError, ValueError) as exc:
@@ -265,10 +245,9 @@ def config_from_path(path) -> RunConfig:
 
 @dataclass
 class IdentityData:
-    """One identity's record with its detected peaks and beat windows."""
+    """One identity's record with its beat windows."""
 
     record: EcgRecord
-    peaks: np.ndarray
     segments: list[BeatSegment]
 
 
@@ -313,11 +292,9 @@ def synth_identity(cfg: RunConfig, subject_id: int) -> EcgRecord:
 
 
 def _identity_data(record: EcgRecord, half_window: int) -> IdentityData:
-    peaks = detect_r_peaks(record)
     return IdentityData(
         record=record,
-        peaks=peaks,
-        segments=segment_beats(record, peaks, half_window),
+        segments=segment_beats(record, detect_r_peaks(record), half_window),
     )
 
 
@@ -365,7 +342,7 @@ def write_corpus(cfg: RunConfig, corpus_dir) -> Path:
 
 
 def load_corpus(corpus_dir, include_open: bool = True) -> Corpus:
-    """Load a written corpus; peaks and segments are re-derived (deterministic).
+    """Load a written corpus; beat segments are re-derived (deterministic).
 
     The whole manifest is always parsed and checked. With
     ``include_open=False`` the open identities' record files are not read
@@ -460,18 +437,16 @@ def initial_params(cfg: RunConfig) -> ModelParams:
 def pretrain_stage(corpus: Corpus, cfg: RunConfig) -> tuple[ModelParams, TrainReport]:
     """Contrastive signal/report pretraining on the enrolled training split."""
     pairs = make_pretrain_pairs(corpus)
-    pt_cfg = dataclasses.replace(cfg.pretrain, seed=cfg.seed)
     logger.info("pretraining on %d signal/report pairs", len(pairs))
-    return pretrain(pairs, pt_cfg, cfg.encoder)
+    return pretrain(pairs, cfg.pretrain, cfg.seed, cfg.encoder)
 
 
 def enroll_stage(corpus: Corpus, cfg: RunConfig, params: ModelParams) -> Registry:
     """Fine-tune on the training split and calibrate on the validation split."""
     train, val, _ = make_splits(corpus)
-    ft_cfg = dataclasses.replace(cfg.finetune, seed=cfg.seed)
     logger.info("enrolling %d identities on %d segments",
                 len(corpus.enrolled), len(train))
-    return enroll(train, params, ft_cfg, validation=val)
+    return enroll(train, params, cfg.finetune, cfg.seed, validation=val)
 
 
 @dataclass
@@ -699,19 +674,14 @@ def run_ablations(cfg: RunConfig, corpus: Corpus | None = None,
         corpus = build_corpus(cfg)
     if pretrained is None:
         pretrained, _ = pretrain_stage(corpus, cfg)
-    base = cfg.finetune.weights
+    switched_off = {"no_self_constraint": {"alpha": 0.0},
+                    "no_prototype": {"beta": 0.0},
+                    "no_reciprocal": {"gamma": 0.0}}
     rows = []
     for variant in ABLATION_VARIANTS:
-        weights = LossWeights(
-            alpha=0.0 if variant == "no_self_constraint" else base.alpha,
-            beta=0.0 if variant == "no_prototype" else base.beta,
-            gamma=0.0 if variant == "no_reciprocal" else base.gamma,
-            tau=base.tau,
-        )
+        ft = dataclasses.replace(cfg.finetune, **switched_off.get(variant, {}))
         use_pre = variant != "no_pretrain"
-        var_cfg = dataclasses.replace(
-            cfg, finetune=dataclasses.replace(cfg.finetune, weights=weights)
-        )
+        var_cfg = dataclasses.replace(cfg, finetune=ft)
         params = pretrained if use_pre else initial_params(cfg)
         logger.info("ablation variant %s", variant)
         registry = enroll_stage(corpus, var_cfg, params)
@@ -721,9 +691,9 @@ def run_ablations(cfg: RunConfig, corpus: Corpus | None = None,
         rows.append(AblationRow(
             variant=variant,
             pretrain=use_pre,
-            self_constraint=weights.alpha > 0,
-            prototype=weights.beta > 0,
-            reciprocal=weights.gamma > 0,
+            self_constraint=ft.alpha > 0,
+            prototype=ft.beta > 0,
+            reciprocal=ft.gamma > 0,
             accuracy=r.accuracy,
             oscr=r.curve.oscr_area,
             tnr=r.tnr,

@@ -5,8 +5,9 @@ contrastive objective over shuffled mini-batches. Fine-tuning freezes the
 report branch and the contrastive heads, recomputes each class's medoid
 center at the start of every epoch with the current encoder, and jointly
 updates the encoder weights, prototypes, reciprocal points, and margins
-under the weighted three-part objective. Both loops are bit-reproducible
-for a fixed config seed.
+under the weighted three-part objective. Each stage takes its own config
+(``PretrainConfig``, ``FinetuneConfig``) and the run seed, updates by Adam,
+and is bit-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .encoder import (
 from .errors import ConfigurationError, InputError, ParameterError, StateError
 from .losses import (
     ClassGeometry,
-    LossWeights,
     center_loss_grad,
     compute_medoid,
     contrastive_loss_grad,
@@ -35,46 +35,59 @@ from .losses import (
     repulsion_loss_grad,
 )
 
-_OPTIMIZERS = ("adam", "sgd")
-
 #: Parameter-name prefixes updated by fine-tuning (the embedding path only).
 _SIGNAL_PREFIXES = ("stem.", "block", "embed.")
 
+# Adam's moment decay rates and the offset of its step denominator
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
+
+
+def _check_schedule(cfg) -> None:
+    if cfg.batch_size < 1:
+        raise ParameterError("batch_size must be >= 1")
+    if cfg.epochs < 0:
+        raise ParameterError("epochs must be >= 0")
+    if not cfg.learning_rate > 0:
+        raise ParameterError("learning_rate must be positive")
+
 
 @dataclass(frozen=True)
-class TrainConfig:
-    """Knobs shared by both training stages.
+class PretrainConfig:
+    """Signal-report pretraining: Adam on the contrastive loss at temperature tau.
 
-    ``optimizer`` selects between an adaptive-moment update ("adam",
-    beta1/beta2/eps) and momentum SGD ("sgd", momentum). Pretraining
-    additionally requires batch_size >= 2 — the contrastive loss needs
-    in-batch negatives.
+    ``pretrain`` additionally requires batch_size >= 2: the contrastive loss
+    needs in-batch negatives.
     """
 
     batch_size: int = 32
     epochs: int = 20
     learning_rate: float = 1e-3
-    weights: LossWeights = field(default_factory=LossWeights)
-    seed: int = 0
-    optimizer: str = "adam"
-    momentum: float = 0.9
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    tau: float = 0.07
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ParameterError("batch_size must be >= 1")
-        if self.epochs < 0:
-            raise ParameterError("epochs must be >= 0")
-        if not self.learning_rate > 0:
-            raise ParameterError("learning_rate must be positive")
-        if self.optimizer not in _OPTIMIZERS:
-            raise ParameterError(f"optimizer must be one of {_OPTIMIZERS}")
-        if not all(0 <= b < 1 for b in (self.momentum, self.beta1, self.beta2)):
-            raise ParameterError("momentum, beta1 and beta2 must lie in [0, 1)")
-        if not self.eps > 0:
-            raise ParameterError("eps must be positive")
+        _check_schedule(self)
+        if not self.tau > 0:
+            raise ParameterError("temperature tau must be positive")
+
+
+@dataclass(frozen=True)
+class FinetuneConfig:
+    """Fine-tuning: Adam on alpha * self-constraint + beta * prototype
+    + gamma * repulsion. A zero weight switches its term off."""
+
+    batch_size: int = 32
+    epochs: int = 30
+    learning_rate: float = 5e-4
+    alpha: float = 0.1
+    beta: float = 1.0
+    gamma: float = 0.1
+
+    def __post_init__(self):
+        _check_schedule(self)
+        if self.alpha < 0 or self.beta < 0 or self.gamma < 0:
+            raise ParameterError("loss weights must be non-negative")
 
 
 @dataclass
@@ -102,19 +115,19 @@ class TrainReport:
 
 
 # ----------------------------------------------------------------------
-# optimizers
+# optimizer
 
 class _Adam:
-    def __init__(self, lr, beta1, beta2, eps):
-        self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, lr):
+        self.lr = lr
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.t = 0
 
     def step(self, tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
         self.t += 1
-        c1 = 1.0 - self.b1 ** self.t
-        c2 = 1.0 - self.b2 ** self.t
+        c1 = 1.0 - _ADAM_BETA1 ** self.t
+        c2 = 1.0 - _ADAM_BETA2 ** self.t
         for key in sorted(grads):
             g = grads[key]
             m = self.m.setdefault(key, np.zeros_like(g))
@@ -122,39 +135,20 @@ class _Adam:
             # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
             # tensor -= lr * (m/c1) / (sqrt(v/c2) + eps), in that order of
             # operations, through two scratch arrays
-            scratch = (1.0 - self.b1) * g
-            m *= self.b1
+            scratch = (1.0 - _ADAM_BETA1) * g
+            m *= _ADAM_BETA1
             m += scratch
-            np.multiply(1.0 - self.b2, g, out=scratch)
+            np.multiply(1.0 - _ADAM_BETA2, g, out=scratch)
             scratch *= g
-            v *= self.b2
+            v *= _ADAM_BETA2
             v += scratch
             step = m / c1
             step *= self.lr
             np.divide(v, c2, out=scratch)
             np.sqrt(scratch, out=scratch)
-            scratch += self.eps
+            scratch += _ADAM_EPS
             step /= scratch
             tensors[key] -= step
-
-
-class _Sgd:
-    def __init__(self, lr, momentum):
-        self.lr, self.momentum = lr, momentum
-        self.vel: dict[str, np.ndarray] = {}
-
-    def step(self, tensors, grads):
-        for key in sorted(grads):
-            vel = self.vel.setdefault(key, np.zeros_like(grads[key]))
-            vel *= self.momentum
-            vel += grads[key]
-            tensors[key] -= self.lr * vel
-
-
-def _make_optimizer(cfg: TrainConfig):
-    if cfg.optimizer == "adam":
-        return _Adam(cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
-    return _Sgd(cfg.learning_rate, cfg.momentum)
 
 
 def _check_epoch_losses(losses: dict[str, float], stage: str):
@@ -165,11 +159,11 @@ def _check_epoch_losses(losses: dict[str, float], stage: str):
 # ----------------------------------------------------------------------
 # pretraining
 
-def pretrain(pairs, cfg: TrainConfig,
+def pretrain(pairs, cfg: PretrainConfig, seed: int,
              encoder_config: EncoderConfig | None = None):
     """Contrastively align (beat segment, report text) pairs.
 
-    Initializes fresh encoder parameters from cfg.seed and minimizes the
+    Initializes fresh encoder parameters from ``seed`` and minimizes the
     symmetric contrastive loss over shuffled mini-batches; a trailing batch
     of size 1 is dropped (no negatives). Returns (ModelParams, TrainReport).
     """
@@ -181,10 +175,10 @@ def pretrain(pairs, cfg: TrainConfig,
     windows = np.stack([seg.window for seg, _ in pairs])
     hashed = hash_reports([text for _, text in pairs])
 
-    mp = init_params(encoder_config or EncoderConfig(), windows.shape[1], cfg.seed)
+    mp = init_params(encoder_config or EncoderConfig(), windows.shape[1], seed)
     model = build_model(mp)
-    opt = _make_optimizer(cfg)
-    rng = np.random.default_rng(cfg.seed)
+    opt = _Adam(cfg.learning_rate)
+    rng = np.random.default_rng(seed)
     report = TrainReport(stage="pretrain")
 
     n = len(pairs)
@@ -200,7 +194,7 @@ def pretrain(pairs, cfg: TrainConfig,
                                                 project=True)
             zr, rep_tape = model.forward_report(mp, hashed[idx], train=True,
                                                 project=True)
-            loss, dzs, dzr = contrastive_loss_grad(zs, zr, cfg.weights.tau)
+            loss, dzs, dzr = contrastive_loss_grad(zs, zr, cfg.tau)
             grads = model.backward_signal(mp, dzs, sig_tape)
             grads.update(model.backward_report(mp, dzr, rep_tape))
             # free the activations before the next batch's forward pass
@@ -243,7 +237,7 @@ def _class_medoids(mp: ModelParams, windows, class_idx, n_classes) -> np.ndarray
     ])
 
 
-def finetune(labeled, params: ModelParams, cfg: TrainConfig):
+def finetune(labeled, params: ModelParams, cfg: FinetuneConfig, seed: int):
     """Train encoder weights and per-identity geometry on labeled segments.
 
     Implements the joint loop: at the start of each epoch, class centers are
@@ -256,11 +250,10 @@ def finetune(labeled, params: ModelParams, cfg: TrainConfig):
     """
     windows, class_ids, class_idx = _group_by_class(labeled)
     n, n_classes = windows.shape[0], len(class_ids)
-    w = cfg.weights
 
     mp = params.copy()
     model = build_model(mp)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
 
     centers = _class_medoids(mp, windows, class_idx, n_classes)
     protos = centers.copy()
@@ -268,7 +261,7 @@ def finetune(labeled, params: ModelParams, cfg: TrainConfig):
     margins = np.ones(n_classes)
 
     trainable = [k for k in mp.params if k.startswith(_SIGNAL_PREFIXES)]
-    opt = _make_optimizer(cfg)
+    opt = _Adam(cfg.learning_rate)
     report = TrainReport(stage="finetune")
 
     for epoch in range(cfg.epochs):
@@ -285,22 +278,22 @@ def finetune(labeled, params: ModelParams, cfg: TrainConfig):
             d_feats = np.zeros_like(feats)
             geom_grads: dict[str, np.ndarray] = {}
             l_self = l_proto = l_rep = 0.0
-            if w.alpha > 0:
+            if cfg.alpha > 0:
                 l_self, dfc = center_loss_grad(feats, centers[yb])
-                d_feats += w.alpha * dfc
-            if w.beta > 0:
+                d_feats += cfg.alpha * dfc
+            if cfg.beta > 0:
                 l_proto, dfp, dp = prototype_loss_grad(feats, yb, protos)
-                d_feats += w.beta * dfp
-                geom_grads["geom.protos"] = w.beta * dp
-            if w.gamma > 0:
+                d_feats += cfg.beta * dfp
+                geom_grads["geom.protos"] = cfg.beta * dp
+            if cfg.gamma > 0:
                 l_rep, dfr, dor, drr = repulsion_loss_grad(
                     feats, recips[yb], margins[yb]
                 )
-                d_feats += w.gamma * dfr
+                d_feats += cfg.gamma * dfr
                 go = np.zeros_like(recips)
                 gr = np.zeros_like(margins)
-                np.add.at(go, yb, w.gamma * dor)
-                np.add.at(gr, yb, w.gamma * drr)
+                np.add.at(go, yb, cfg.gamma * dor)
+                np.add.at(gr, yb, cfg.gamma * drr)
                 geom_grads["geom.recips"] = go
                 geom_grads["geom.margins"] = gr
             grads = model.backward_signal(mp, d_feats, tape)
@@ -311,7 +304,8 @@ def finetune(labeled, params: ModelParams, cfg: TrainConfig):
             grads.update(geom_grads)
             opt.step(tensors, grads)
             np.maximum(margins, 0.0, out=margins)
-            batch_total = w.alpha * l_self + w.beta * l_proto + w.gamma * l_rep
+            batch_total = (cfg.alpha * l_self + cfg.beta * l_proto
+                           + cfg.gamma * l_rep)
             sums["self"] += l_self * idx.size
             sums["proto"] += l_proto * idx.size
             sums["repulsion"] += l_rep * idx.size

@@ -25,7 +25,7 @@ from ecgauth.errors import (
     ParameterError,
 )
 from ecgauth.signals import IdentityMorphology, segment_beats, synth_ecg
-from ecgauth.training import TrainConfig
+from ecgauth.training import FinetuneConfig
 
 SMALL_ENC = EncoderConfig(n_blocks=1, channels=(4,), kernel_size=3,
                           embed_dim=8, proj_dim=4)
@@ -52,8 +52,8 @@ def labeled():
 @pytest.fixture(scope="module")
 def registry(labeled):
     params = init_params(SMALL_ENC, 2 * HALF, seed=21)
-    cfg = TrainConfig(batch_size=8, epochs=2, learning_rate=5e-4, seed=21)
-    return enroll(labeled, params, cfg)
+    cfg = FinetuneConfig(batch_size=8, epochs=2, learning_rate=5e-4)
+    return enroll(labeled, params, cfg, 21)
 
 
 # ----------------------------------------------------------------------
@@ -61,8 +61,8 @@ def registry(labeled):
 
 def test_enroll_is_deterministic(labeled, registry):
     params = init_params(SMALL_ENC, 2 * HALF, seed=21)
-    cfg = TrainConfig(batch_size=8, epochs=2, learning_rate=5e-4, seed=21)
-    again = enroll(labeled, params, cfg)
+    cfg = FinetuneConfig(batch_size=8, epochs=2, learning_rate=5e-4)
+    again = enroll(labeled, params, cfg, 21)
     assert again.digest() == registry.digest()
     assert again.ids == [1, 2, 3]
     assert 0.0 < again.threshold < 1.0

@@ -26,7 +26,7 @@ from ecgauth.encoder import (
 from ecgauth.errors import ConfigurationError, StateError
 from ecgauth.metrics import OPEN
 from ecgauth.signals import IdentityMorphology, synth_ecg, write_record
-from ecgauth.training import TrainConfig
+from ecgauth.training import FinetuneConfig, PretrainConfig
 
 
 def tiny_config_dict():
@@ -191,6 +191,23 @@ def test_auth_reports_each_beat(workspace, capsys):
     assert all(pattern.match(line) for line in lines)
 
 
+def test_auth_segments_with_the_registry_window(workspace, tmp_path):
+    """The beat window comes from the registry, not from corpus.half_window."""
+    cfg_path, out = workspace
+    record = out / "corpus" / "id_0001.ecg"
+    doc = json.loads(cfg_path.read_text())
+    doc["corpus"]["half_window"] += 25
+    other = tmp_path / "other_window.json"
+    other.write_text(json.dumps(doc), encoding="utf-8")
+    printed = []
+    for path in (cfg_path, other):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(["auth", "--config", str(path), str(record)]) == 0
+        printed.append(buf.getvalue())
+    assert printed[0] == printed[1] and printed[0].startswith("beat=0 ")
+
+
 def test_auth_into_closed_pipe_exits_quietly(workspace, tmp_path):
     """`ecgauth auth ... | head -1`: the reader leaves after the first line."""
     cfg_path, _ = workspace
@@ -243,17 +260,26 @@ def test_default_config_dict_round_trips():
         pipeline.default_config_dict()) == pipeline.RunConfig()
 
 
+def test_default_config_dict_is_the_plain_run_config():
+    # json turns every tuple into a list
+    tree = json.loads(json.dumps(dataclasses.asdict(pipeline.RunConfig())))
+    assert pipeline.default_config_dict() == {"schema_version": 1, **tree}
+    assert list(tree["pretrain"]) == [
+        "batch_size", "epochs", "learning_rate", "tau"]
+    assert list(tree["finetune"]) == [
+        "batch_size", "epochs", "learning_rate", "alpha", "beta", "gamma"]
+
+
 def test_config_sections_match_dataclass_fields():
     def names(cls):
         return [f.name for f in dataclasses.fields(cls)]
 
     tree = pipeline.default_config_dict()
-    train = [n for n in names(TrainConfig) if n not in ("weights", "seed")]
     expected = {
         "corpus": names(pipeline.CorpusSpec),
         "encoder": names(EncoderConfig),
-        "pretrain": train + ["tau"],
-        "finetune": train + ["alpha", "beta", "gamma"],
+        "pretrain": names(PretrainConfig),
+        "finetune": names(FinetuneConfig),
     }
     assert list(tree) == ["schema_version"] + names(pipeline.RunConfig)
     assert {k: list(v) for k, v in tree.items() if isinstance(v, dict)} == expected
@@ -283,6 +309,19 @@ def test_bad_optimizer_and_shape_values_are_config_errors(tmp_path, section,
     doc[section].update(values)
     bad.write_text(json.dumps(doc), encoding="utf-8")
     assert _run("synth", "--config", str(bad), "--out", str(tmp_path)) == 2
+    assert not (tmp_path / "corpus").exists()
+
+
+@pytest.mark.parametrize("section", ["pretrain", "finetune"])
+@pytest.mark.parametrize("key", ["optimizer", "momentum", "beta1", "beta2",
+                                 "eps"])
+def test_removed_stage_keys_are_unknown(tmp_path, capsys, section, key):
+    bad = tmp_path / "bad.json"
+    doc = tiny_config_dict()
+    doc[section][key] = 0
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    assert _run("synth", "--config", str(bad), "--out", str(tmp_path)) == 2
+    assert f'unknown key(s) in "{section}": {key}' in capsys.readouterr().err
     assert not (tmp_path / "corpus").exists()
 
 

@@ -12,13 +12,11 @@ from ecgauth.errors import (
 )
 from ecgauth.losses import (
     ClassGeometry,
-    LossWeights,
     center_loss_grad,
     compute_medoid,
     contrastive_loss,
     contrastive_loss_grad,
     medoid_index,
-    prototype_loss,
     prototype_loss_grad,
     prototype_prob,
     repulsion_loss_grad,
@@ -224,17 +222,17 @@ def test_prototype_loss_hand_value():
     # loss = 2 d + log(2 e^{-d}) = d + ln 2, with d the squared distance
     p = np.stack([np.array([1.0, 0.0]), np.array([-1.0, 0.0])])
     f = np.array([[0.0, 0.0]])
-    assert prototype_loss(f, [0], p) == pytest.approx(1.0 + math.log(2.0),
-                                                      abs=1e-12)
+    assert prototype_loss_grad(f, [0], p)[0] == pytest.approx(
+        1.0 + math.log(2.0), abs=1e-12)
 
 
 def test_prototype_loss_label_validation():
     p = np.zeros((2, 3))
     f = np.zeros((1, 3))
     with pytest.raises(InputError):
-        prototype_loss(f, [2], p)
+        prototype_loss_grad(f, [2], p)
     with pytest.raises(InputError):
-        prototype_loss(f, [-1], p)
+        prototype_loss_grad(f, [-1], p)
 
 
 def test_prototype_gradients_cover_features_and_prototypes():
@@ -242,9 +240,9 @@ def test_prototype_gradients_cover_features_and_prototypes():
     f = rng.normal(size=(6, 4))
     p = rng.normal(size=(3, 4))
     y = rng.integers(0, 3, size=6)
-    loss, dfeat, dproto = prototype_loss_grad(f, y, p)
-    assert loss == pytest.approx(prototype_loss(f, y, p), abs=1e-12)
-    _fd_check(lambda: prototype_loss(f, y, p), [f, p], [dfeat, dproto], rng=rng)
+    _, dfeat, dproto = prototype_loss_grad(f, y, p)
+    _fd_check(lambda: prototype_loss_grad(f, y, p)[0], [f, p], [dfeat, dproto],
+              rng=rng)
 
 
 # ----------------------------------------------------------------------
@@ -306,15 +304,6 @@ def test_repulsion_by_labels_matches_gathered_form():
 
 # ----------------------------------------------------------------------
 # containers
-
-def test_loss_weights_validation():
-    with pytest.raises(ParameterError):
-        LossWeights(alpha=-0.1)
-    with pytest.raises(ParameterError):
-        LossWeights(tau=0.0)
-    w = LossWeights()
-    assert (w.alpha, w.beta, w.gamma, w.tau) == (0.1, 1.0, 0.1, 0.07)
-
 
 def test_class_geometry_validation():
     c = np.zeros(3)

@@ -259,7 +259,7 @@ def test_adam_steps_match_reference():
     lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
     got = {k: rng.normal(size=s) for k, s in shapes.items()}
     want = {k: v.copy() for k, v in got.items()}
-    opt = _Adam(lr, b1, b2, eps)
+    opt = _Adam(lr)
     state = {"t": 0, "m": {}, "v": {}}
     for _ in range(5):
         grads = {k: with_zeros(rng, s) for k, s in shapes.items()}

@@ -6,9 +6,9 @@ import pytest
 from ecgauth import training
 from ecgauth.encoder import EncoderConfig, encode_signal_batch, init_params
 from ecgauth.errors import ConfigurationError, InputError, ParameterError
-from ecgauth.losses import LossWeights, compute_medoid
+from ecgauth.losses import compute_medoid
 from ecgauth.signals import IdentityMorphology, segment_beats, synth_ecg
-from ecgauth.training import TrainConfig, finetune, pretrain
+from ecgauth.training import FinetuneConfig, PretrainConfig, finetune, pretrain
 
 SMALL_ENC = EncoderConfig(n_blocks=1, channels=(4,), kernel_size=3,
                           embed_dim=8, proj_dim=4)
@@ -45,27 +45,28 @@ def labeled():
 # config validation
 
 def test_train_config_validation():
+    for stage in (PretrainConfig, FinetuneConfig):
+        for bad in (dict(batch_size=0), dict(epochs=-1),
+                    dict(learning_rate=0.0)):
+            with pytest.raises(ParameterError):
+                stage(**bad)
+        stage(batch_size=1, epochs=0)  # bounds are valid
     with pytest.raises(ParameterError):
-        TrainConfig(batch_size=0)
-    with pytest.raises(ParameterError):
-        TrainConfig(epochs=-1)
-    with pytest.raises(ParameterError):
-        TrainConfig(learning_rate=0.0)
-    with pytest.raises(ParameterError):
-        TrainConfig(optimizer="rmsprop")
-    for bad in (dict(momentum=-0.1), dict(beta1=1.0), dict(beta2=-1e-3),
-                dict(eps=0.0)):
+        PretrainConfig(tau=0.0)
+    for weight in ("alpha", "beta", "gamma"):
         with pytest.raises(ParameterError):
-            TrainConfig(**bad)
-    TrainConfig(momentum=0.0, beta1=0.0, beta2=0.0, eps=1e-12)  # bounds are valid
+            FinetuneConfig(**{weight: -0.1})
+    FinetuneConfig(alpha=0.0, beta=0.0, gamma=0.0)  # bounds are valid
+    assert PretrainConfig() == PretrainConfig(32, 20, 1e-3, 0.07)
+    assert FinetuneConfig() == FinetuneConfig(32, 30, 5e-4, 0.1, 1.0, 0.1)
 
 
 # ----------------------------------------------------------------------
 # pretraining
 
 def test_pretrain_reduces_contrastive_loss(labeled):
-    cfg = TrainConfig(batch_size=8, epochs=4, learning_rate=1e-3, seed=1)
-    _, report = pretrain(_pairs(labeled), cfg, encoder_config=SMALL_ENC)
+    cfg = PretrainConfig(batch_size=8, epochs=4, learning_rate=1e-3)
+    _, report = pretrain(_pairs(labeled), cfg, 1, encoder_config=SMALL_ENC)
     first = report.epochs[0].losses["contrastive"]
     last = report.epochs[-1].losses["contrastive"]
     assert last < first
@@ -74,17 +75,17 @@ def test_pretrain_reduces_contrastive_loss(labeled):
 
 
 def test_pretrain_is_deterministic(labeled):
-    cfg = TrainConfig(batch_size=8, epochs=2, seed=5)
-    mp_a, rep_a = pretrain(_pairs(labeled), cfg, encoder_config=SMALL_ENC)
-    mp_b, rep_b = pretrain(_pairs(labeled), cfg, encoder_config=SMALL_ENC)
+    cfg = PretrainConfig(batch_size=8, epochs=2)
+    mp_a, rep_a = pretrain(_pairs(labeled), cfg, 5, encoder_config=SMALL_ENC)
+    mp_b, rep_b = pretrain(_pairs(labeled), cfg, 5, encoder_config=SMALL_ENC)
     assert mp_a.checksum() == mp_b.checksum()
     assert [e.losses for e in rep_a.epochs] == [e.losses for e in rep_b.epochs]
 
 
 def test_pretrain_zero_epochs_returns_fresh_init(labeled):
     pairs = _pairs(labeled)
-    cfg = TrainConfig(batch_size=8, epochs=0, seed=9)
-    mp, report = pretrain(pairs, cfg, encoder_config=SMALL_ENC)
+    cfg = PretrainConfig(batch_size=8, epochs=0)
+    mp, report = pretrain(pairs, cfg, 9, encoder_config=SMALL_ENC)
     window_len = pairs[0][0].window.size
     assert mp.checksum() == init_params(SMALL_ENC, window_len, seed=9).checksum()
     assert report.epochs == []
@@ -93,14 +94,15 @@ def test_pretrain_zero_epochs_returns_fresh_init(labeled):
 def test_pretrain_input_validation(labeled):
     pairs = _pairs(labeled)
     with pytest.raises(ConfigurationError):
-        pretrain(pairs, TrainConfig(batch_size=1), encoder_config=SMALL_ENC)
+        pretrain(pairs, PretrainConfig(batch_size=1), 0,
+                 encoder_config=SMALL_ENC)
     with pytest.raises(InputError):
-        pretrain(pairs[:1], TrainConfig(), encoder_config=SMALL_ENC)
+        pretrain(pairs[:1], PretrainConfig(), 0, encoder_config=SMALL_ENC)
 
 
 def test_pretrain_report_lines(labeled):
-    cfg = TrainConfig(batch_size=8, epochs=1, seed=2)
-    _, report = pretrain(_pairs(labeled), cfg, encoder_config=SMALL_ENC)
+    cfg = PretrainConfig(batch_size=8, epochs=1)
+    _, report = pretrain(_pairs(labeled), cfg, 2, encoder_config=SMALL_ENC)
     lines = report.to_lines()
     assert lines[0] == "stage=pretrain"
     assert lines[1].startswith("epoch 0 contrastive=")
@@ -116,9 +118,8 @@ def _init_mp(labeled, seed=3):
 
 
 def test_finetune_total_is_weighted_sum_of_parts(labeled):
-    weights = LossWeights(alpha=0.3, beta=0.7, gamma=0.2)
-    cfg = TrainConfig(batch_size=8, epochs=2, seed=16, weights=weights)
-    _, _, report = finetune(labeled, _init_mp(labeled), cfg)
+    cfg = FinetuneConfig(batch_size=8, epochs=2, alpha=0.3, beta=0.7, gamma=0.2)
+    _, _, report = finetune(labeled, _init_mp(labeled), cfg, 16)
     for epoch in report.epochs:
         parts = epoch.losses
         weighted = (0.3 * parts["self"] + 0.7 * parts["proto"]
@@ -127,17 +128,17 @@ def test_finetune_total_is_weighted_sum_of_parts(labeled):
 
 
 def test_finetune_reduces_total_loss(labeled):
-    cfg = TrainConfig(batch_size=8, epochs=5, learning_rate=5e-4, seed=4)
-    _, _, report = finetune(labeled, _init_mp(labeled), cfg)
+    cfg = FinetuneConfig(batch_size=8, epochs=5, learning_rate=5e-4)
+    _, _, report = finetune(labeled, _init_mp(labeled), cfg, 4)
     assert report.epochs[-1].losses["total"] < report.epochs[0].losses["total"]
     assert report.stage == "finetune"
 
 
 def test_finetune_is_deterministic(labeled):
-    cfg = TrainConfig(batch_size=8, epochs=2, seed=6)
+    cfg = FinetuneConfig(batch_size=8, epochs=2)
     mp = _init_mp(labeled)
-    mp_a, geo_a, _ = finetune(labeled, mp, cfg)
-    mp_b, geo_b, _ = finetune(labeled, mp, cfg)
+    mp_a, geo_a, _ = finetune(labeled, mp, cfg, 6)
+    mp_b, geo_b, _ = finetune(labeled, mp, cfg, 6)
     assert mp_a.checksum() == mp_b.checksum()
     for cid in geo_a:
         assert np.array_equal(geo_a[cid].prototype, geo_b[cid].prototype)
@@ -146,10 +147,10 @@ def test_finetune_is_deterministic(labeled):
 
 
 def test_finetune_only_updates_signal_branch(labeled):
-    cfg = TrainConfig(batch_size=8, epochs=1, seed=7)
+    cfg = FinetuneConfig(batch_size=8, epochs=1)
     mp = _init_mp(labeled)
     before = {k: v.copy() for k, v in mp.params.items()}
-    after, _, _ = finetune(labeled, mp, cfg)
+    after, _, _ = finetune(labeled, mp, cfg, 7)
     for key in before:
         frozen = not key.startswith(("stem.", "block", "embed."))
         unchanged = np.array_equal(before[key], after.params[key])
@@ -159,9 +160,8 @@ def test_finetune_only_updates_signal_branch(labeled):
 
 
 def test_finetune_zero_gamma_leaves_reciprocals_at_init(labeled):
-    weights = LossWeights(alpha=0.1, beta=1.0, gamma=0.0)
-    cfg = TrainConfig(batch_size=8, epochs=2, seed=11, weights=weights)
-    _, geometry, _ = finetune(labeled, _init_mp(labeled), cfg)
+    cfg = FinetuneConfig(batch_size=8, epochs=2, alpha=0.1, beta=1.0, gamma=0.0)
+    _, geometry, _ = finetune(labeled, _init_mp(labeled), cfg, 11)
     class_ids = sorted(geometry)
     dim = geometry[class_ids[0]].reciprocal.size
     expected = np.random.default_rng(11).normal(
@@ -172,9 +172,8 @@ def test_finetune_zero_gamma_leaves_reciprocals_at_init(labeled):
 
 
 def test_finetune_zero_alpha_and_beta_still_run(labeled):
-    weights = LossWeights(alpha=0.0, beta=0.0, gamma=0.1)
-    cfg = TrainConfig(batch_size=8, epochs=1, seed=12, weights=weights)
-    _, geometry, report = finetune(labeled, _init_mp(labeled), cfg)
+    cfg = FinetuneConfig(batch_size=8, epochs=1, alpha=0.0, beta=0.0, gamma=0.1)
+    _, geometry, report = finetune(labeled, _init_mp(labeled), cfg, 12)
     assert report.epochs[0].losses["self"] == 0.0
     assert report.epochs[0].losses["proto"] == 0.0
     assert set(geometry) == {1, 2, 3}
@@ -183,14 +182,14 @@ def test_finetune_zero_alpha_and_beta_still_run(labeled):
 def test_finetune_margins_never_shrink(labeled):
     # the repulsion gradient on the margin is non-positive, so margins can
     # only grow from their 1.0 start (the >= 0 clamp is a safety net)
-    cfg = TrainConfig(batch_size=8, epochs=3, seed=13)
-    _, geometry, _ = finetune(labeled, _init_mp(labeled), cfg)
+    cfg = FinetuneConfig(batch_size=8, epochs=3)
+    _, geometry, _ = finetune(labeled, _init_mp(labeled), cfg, 13)
     assert all(g.margin >= 1.0 for g in geometry.values())
 
 
 def test_finetune_final_centers_are_current_medoids(labeled):
-    cfg = TrainConfig(batch_size=8, epochs=2, seed=14)
-    mp, geometry, _ = finetune(labeled, _init_mp(labeled), cfg)
+    cfg = FinetuneConfig(batch_size=8, epochs=2)
+    mp, geometry, _ = finetune(labeled, _init_mp(labeled), cfg, 14)
     for cid in geometry:
         windows = np.stack([seg.window for seg, sid in labeled if sid == cid])
         emb = encode_signal_batch(mp, windows)
@@ -200,23 +199,15 @@ def test_finetune_final_centers_are_current_medoids(labeled):
 def test_finetune_rejects_thin_classes(labeled):
     thin = labeled + [(labeled[0][0], 99)]  # one lone segment for id 99
     with pytest.raises(ConfigurationError):
-        finetune(thin, _init_mp(labeled), TrainConfig())
+        finetune(thin, _init_mp(labeled), FinetuneConfig(), 0)
     with pytest.raises(InputError):
-        finetune([], _init_mp(labeled), TrainConfig())
-
-
-def test_finetune_sgd_path(labeled):
-    cfg = TrainConfig(batch_size=8, epochs=1, seed=15, optimizer="sgd",
-                      momentum=0.9, learning_rate=1e-4)
-    mp_a, _, _ = finetune(labeled, _init_mp(labeled), cfg)
-    mp_b, _, _ = finetune(labeled, _init_mp(labeled), cfg)
-    assert mp_a.checksum() == mp_b.checksum()
+        finetune([], _init_mp(labeled), FinetuneConfig(), 0)
 
 
 def test_finetune_zero_epochs_starts_geometry_at_medoids(labeled):
     mp = _init_mp(labeled)
-    cfg = TrainConfig(batch_size=8, epochs=0, seed=17)
-    tuned, geometry, report = finetune(labeled, mp, cfg)
+    cfg = FinetuneConfig(batch_size=8, epochs=0)
+    tuned, geometry, report = finetune(labeled, mp, cfg, 17)
     assert report.epochs == []
     assert tuned.checksum() == mp.checksum()
     for cid, geo in geometry.items():
@@ -240,8 +231,8 @@ def test_finetune_refreshes_medoids_once_per_distinct_weights(labeled, epochs,
         return original(*args)
 
     monkeypatch.setattr(training, "_class_medoids", counting)
-    cfg = TrainConfig(batch_size=8, epochs=epochs, seed=18)
-    tuned, _, _ = finetune(labeled, _init_mp(labeled), cfg)
+    cfg = FinetuneConfig(batch_size=8, epochs=epochs)
+    tuned, _, _ = finetune(labeled, _init_mp(labeled), cfg, 18)
     assert len(calls) == epochs + 1
     assert len(set(calls)) == len(calls)  # never twice on the same weights
     assert calls[-1] == tuned.checksum()
