@@ -21,6 +21,7 @@ from ecgauth.losses import (
     prototype_prob,
     repulsion_loss_grad,
 )
+from ecgauth.training import FinetuneConfig, PretrainConfig
 
 
 def _fd_check(loss_fn, arrays, grads, h=1e-5, rng=None):
@@ -304,6 +305,18 @@ def test_repulsion_by_labels_matches_gathered_form():
 
 # ----------------------------------------------------------------------
 # containers
+
+def test_loss_weights_validation():
+    """The loss weights live on the stage configs that use them."""
+    with pytest.raises(ParameterError):
+        PretrainConfig(tau=0.0)
+    for weight in ("alpha", "beta", "gamma"):
+        with pytest.raises(ParameterError):
+            FinetuneConfig(**{weight: -0.1})
+    FinetuneConfig(alpha=0.0, beta=0.0, gamma=0.0)  # bounds are valid
+    ft, pt = FinetuneConfig(), PretrainConfig()
+    assert (ft.alpha, ft.beta, ft.gamma, pt.tau) == (0.1, 1.0, 0.1, 0.07)
+
 
 def test_class_geometry_validation():
     c = np.zeros(3)
