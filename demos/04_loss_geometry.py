@@ -1,9 +1,8 @@
-"""Closed forms and toy geometry for the four training losses.
+"""Closed forms and toy geometry for the training losses.
 
 Small enough to verify by hand: the contrastive loss has exact values on
-degenerate batches, the medoid is an actual member of the set, prototype
-probabilities are a softmax over negative squared distances, and the
-reciprocal-point hinge only pushes samples that sit inside the margin.
+degenerate batches, the medoid is an actual member of the set, and
+prototype probabilities are a softmax over negative squared distances.
 """
 
 import math
@@ -11,7 +10,6 @@ import math
 import numpy as np
 
 from ecgauth import compute_medoid, contrastive_loss, prototype_prob
-from ecgauth.losses import repulsion_loss_grad
 
 # --- contrastive closed forms ------------------------------------------
 # two identical (signal, report) pairs: every similarity is 1, each
@@ -42,18 +40,3 @@ for q, p in zip(queries, probs):
     print(f"query {q.tolist()!s:12} -> P(class 0) {p[0]:.4f}  "
           f"P(class 1) {p[1]:.4f}")
 
-# --- reciprocal-point repulsion ------------------------------------------
-# each class also learns a reciprocal point ("everything that is not me")
-# plus a margin R; enrolled features pay for dimension-averaged squared
-# distance beyond R, which keeps them inside a bounded shell around the
-# reciprocal and so bounds the region left over for unknowns
-# (one enrolled class: reciprocal point (2, 0), margin 1)
-reciprocal = np.array([[2.0, 0.0]])
-margin = np.array([1.0])
-near = np.array([[1.9, 0.0]])      # d^2/dim = 0.005, well inside the margin
-far_away = np.array([[-2.0, 0.0]])  # d^2/dim = 8.0, far beyond it
-near_loss = repulsion_loss_grad(near, reciprocal, margin)[0]
-far_loss = repulsion_loss_grad(far_away, reciprocal, margin)[0]
-print(f"repulsion near point : {near_loss:.4f} (within margin, hinge inactive)")
-print(f"repulsion far away   : {far_loss:.4f} "
-      f"(beyond margin, pulled back toward the shell)")

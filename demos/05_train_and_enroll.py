@@ -4,10 +4,9 @@ Two-stage training on a miniature corpus
 
 Stage one aligns beat windows with their text reports contrastively,
 giving the signal branch a warm start. Stage two fine-tunes the signal
-branch with the three-part geometry objective -- self-constraint toward
-medoid centers, a distance softmax toward dynamic prototypes, and the
-reciprocal-point hinge -- producing per-identity geometry ready for
-enrollment.
+branch with the two-part geometry objective -- self-constraint toward
+medoid centers and a distance softmax toward dynamic prototypes --
+producing one prototype per identity, ready for enrollment.
 
 Runs in a few seconds on one core.
 """
@@ -51,16 +50,14 @@ print(f"pretrain: contrastive loss {losses[0]:.4f} -> {losses[-1]:.4f} "
 
 # ---- stage two: geometry fine-tuning ------------------------------------
 train, val, test = make_splits(corpus)
-tuned, geometry, ft_report = finetune(train, params, cfg.finetune, cfg.seed)
+tuned, class_ids, prototypes, ft_report = finetune(train, params, cfg.finetune,
+                                                   cfg.seed)
 first, last = ft_report.epochs[0].losses, ft_report.epochs[-1].losses
 print(f"finetune: total loss {first['total']:.4f} -> {last['total']:.4f} "
-      f"(self {last['self']:.4f}, proto {last['proto']:.4f}, "
-      f"repulsion {last['repulsion']:.4f})")
+      f"(self {last['self']:.4f}, proto {last['proto']:.4f})")
 
-for sid, geo in sorted(geometry.items()):
-    print(f"  identity {sid}: margin {geo.margin:.3f}, "
-          f"|prototype| {np.linalg.norm(geo.prototype):.3f}, "
-          f"|reciprocal| {np.linalg.norm(geo.reciprocal):.3f}")
+for sid, proto in zip(class_ids, prototypes):
+    print(f"  identity {sid}: |prototype| {np.linalg.norm(proto):.3f}")
 
 # the trained space separates identities where the raw one could not
 by_id = {}

@@ -1,10 +1,11 @@
 """Enroll identities into a registry and authenticate single beats.
 
-The registry bundles the tuned encoder, per-identity geometry, and an
-operating threshold calibrated so at least 95% of validation beats from
-enrolled identities stay accepted. Decisions on new beats are pure
-functions of (registry, window), and the registry round-trips through a
-checksummed container file.
+The registry bundles what authentication reads and nothing else: the tuned
+encoder, one prototype per enrolled identity, and an operating threshold
+calibrated so at least 95% of validation beats from enrolled identities
+stay accepted. Decisions on new beats are pure functions of (registry,
+window), and the registry round-trips through a checksummed container file
+whose only tensor besides the encoder's is the prototype matrix.
 """
 
 import tempfile
@@ -66,6 +67,8 @@ with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "demo.reg"
     save_registry(registry, path)
     restored = load_registry(path)
-    print(f"registry file: {path.stat().st_size} bytes, threshold and "
-          f"geometry survive the round-trip "
-          f"({restored.threshold == registry.threshold})")
+    same = (restored.threshold == registry.threshold
+            and restored.prototypes.tobytes() == registry.prototypes.tobytes())
+    print(f"registry file: {path.stat().st_size} bytes; threshold and the "
+          f"{registry.prototypes.shape[0]}x{registry.prototypes.shape[1]} "
+          f"prototype matrix survive the round-trip ({same})")

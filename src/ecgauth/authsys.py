@@ -1,11 +1,12 @@
 """Identity registry: enrollment, thresholded authentication, persistence.
 
-A registry packages the fine-tuned encoder, one ClassGeometry per enrolled
-identity, and an operating threshold. Authentication embeds a beat segment,
-scores it with the distance softmax over the enrolled prototypes, and accepts
-the argmax identity iff the winning probability clears the threshold.
-Registries persist in the same container format as encoder checkpoints, with
-the geometry stacked into extra tensors and the threshold in metadata.
+A registry holds exactly what authentication reads: the fine-tuned encoder,
+the sorted enrolled ids, one prototype per id, and an operating threshold.
+Authentication embeds a beat segment, scores it with the distance softmax
+over the enrolled prototypes, and accepts the argmax identity iff the winning
+probability clears the threshold. Registries persist in the same container
+format as encoder checkpoints, with the prototype matrix as the one extra
+tensor and the ids and threshold in metadata.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encoder import ModelParams, encode_signal_batch, load_container, save_container
-from .errors import CheckpointFormatError, InputError, ParameterError
-from .losses import ClassGeometry, prototype_prob
+from .errors import CheckpointFormatError, InputError, ParameterError, ShapeError
+from .losses import prototype_prob
 from .training import FinetuneConfig, finetune
 
 logger = logging.getLogger("ecgauth.authsys")
@@ -30,6 +31,8 @@ _ACCEPT_RATE = 0.95
 # the distance softmax can emit exactly 1.0 (single class); the threshold
 # itself must stay inside the open interval (0, 1)
 _THRESHOLD_MARGIN = 1e-9
+# the one tensor a registry container holds besides the encoder's
+_PROTOTYPES = "registry.prototypes"
 
 
 @dataclass
@@ -43,39 +46,38 @@ class Decision:
 
 @dataclass
 class Registry:
-    """Enrolled identities: encoder weights, per-identity geometry, threshold."""
+    """Enrolled identities: encoder weights, sorted ids, their prototypes
+    (row k belongs to ids[k]), and the acceptance threshold."""
 
     params: ModelParams
-    geometry: dict[int, ClassGeometry]
+    ids: list[int]
+    prototypes: np.ndarray
     threshold: float
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        self.ids = [int(i) for i in self.ids]
+        self.prototypes = np.asarray(self.prototypes, dtype=np.float64)
         self.threshold = float(self.threshold)
-        if len(self.geometry) < 1:
+        if not self.ids:
             raise InputError("registry needs at least one enrolled identity")
+        if self.ids != sorted(set(self.ids)):
+            raise InputError("registry ids must be distinct and sorted")
+        shape = (len(self.ids), self.params.config.embed_dim)
+        if self.prototypes.shape != shape:
+            raise ShapeError(f"prototypes must have shape {shape}, "
+                             f"got {self.prototypes.shape}")
+        if not np.all(np.isfinite(self.prototypes)):
+            raise InputError("prototypes must be finite")
         if not 0.0 < self.threshold < 1.0:
             raise ParameterError("threshold must lie strictly inside (0, 1)")
-        self.geometry = {int(k): v for k, v in self.geometry.items()}
-
-    @property
-    def ids(self) -> list[int]:
-        return sorted(self.geometry)
-
-    def prototypes(self) -> np.ndarray:
-        """Prototype matrix with rows in sorted-id order."""
-        return np.stack([self.geometry[i].prototype for i in self.ids])
 
     def digest(self) -> str:
-        """SHA-256 over encoder tensors, geometry, threshold, and metadata."""
+        """SHA-256 over encoder tensors, ids, prototypes, threshold, and metadata."""
         h = hashlib.sha256()
         h.update(self.params.checksum().encode())
-        for cid in self.ids:
-            g = self.geometry[cid]
-            h.update(str(cid).encode())
-            for arr in (g.center, g.prototype, g.reciprocal):
-                h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-            h.update(repr(g.margin).encode())
+        h.update(json.dumps(self.ids).encode())
+        h.update(np.ascontiguousarray(self.prototypes, dtype="<f8").tobytes())
         h.update(repr(self.threshold).encode())
         h.update(json.dumps(self.metadata, sort_keys=True).encode())
         return h.hexdigest()
@@ -99,10 +101,11 @@ def enroll(labeled, params: ModelParams, cfg: FinetuneConfig, seed: int,
     (BeatSegment, id)) when given, otherwise on the enrollment segments
     themselves. Deterministic for fixed data, cfg and seed.
     """
-    tuned, geometry, _ = finetune(labeled, params, cfg, seed)
+    tuned, ids, prototypes, _ = finetune(labeled, params, cfg, seed)
     registry = Registry(
         params=tuned,
-        geometry=geometry,
+        ids=ids,
+        prototypes=prototypes,
         threshold=_FALLBACK_THRESHOLD,
         metadata={"seed": seed,
                   "config_digest": _config_digest(cfg, seed, params)},
@@ -115,7 +118,7 @@ def enroll(labeled, params: ModelParams, cfg: FinetuneConfig, seed: int,
 
 def score_embeddings(registry: Registry, emb: np.ndarray):
     """(max probability, predicted id) for a (batch, embed_dim) embedding array."""
-    probs = prototype_prob(emb, registry.prototypes())
+    probs = prototype_prob(emb, registry.prototypes)
     best = probs.argmax(axis=1)
     ids = registry.ids
     return probs[np.arange(len(best)), best], np.array([ids[b] for b in best])
@@ -179,41 +182,33 @@ def calibrate_threshold(registry: Registry, validation) -> float:
 
 def save_registry(registry: Registry, path) -> None:
     """Persist a registry as a 'registry' container (deterministic bytes)."""
-    g = registry.geometry
-    ids = registry.ids
-    extras = {
-        "registry.centers": np.stack([g[i].center for i in ids]),
-        "registry.prototypes": np.stack([g[i].prototype for i in ids]),
-        "registry.reciprocals": np.stack([g[i].reciprocal for i in ids]),
-        "registry.margins": np.array([g[i].margin for i in ids]),
-    }
     metadata = {
-        "ids": ids,
+        "ids": registry.ids,
         "threshold": registry.threshold,
         "creation": registry.metadata,
     }
-    save_container(path, "registry", registry.params, extras, metadata)
+    save_container(path, "registry", registry.params,
+                   {_PROTOTYPES: registry.prototypes}, metadata)
 
 
 def load_registry(path) -> Registry:
-    """Read a registry container back, bit-exact, with distinct failure modes."""
+    """Read a registry container back, bit-exact, with distinct failure modes.
+
+    The container must hold exactly one extra tensor, a finite
+    (len(ids), embed_dim) prototype matrix; anything else is a
+    CheckpointFormatError.
+    """
     mp, extras, metadata = load_container(path, "registry")
+    if set(extras) != {_PROTOTYPES}:
+        missing = sorted({_PROTOTYPES} - set(extras))
+        surplus = sorted(set(extras) - {_PROTOTYPES})
+        raise CheckpointFormatError(
+            f"{path}: a registry holds exactly the tensor {_PROTOTYPES!r} "
+            f"besides the encoder (missing={missing}, surplus={surplus})")
     try:
-        ids = [int(i) for i in metadata["ids"]]
-        threshold = float(metadata["threshold"])
-        centers = extras["registry.centers"]
-        protos = extras["registry.prototypes"]
-        recips = extras["registry.reciprocals"]
-        margins = extras["registry.margins"]
-        if not (len(ids) == centers.shape[0] == protos.shape[0]
-                == recips.shape[0] == margins.shape[0]):
-            raise KeyError("geometry tensor row counts disagree with id list")
-    except (KeyError, TypeError, ValueError) as exc:
+        return Registry(params=mp, ids=metadata["ids"],
+                        prototypes=extras[_PROTOTYPES],
+                        threshold=metadata["threshold"],
+                        metadata=metadata.get("creation", {}))
+    except (KeyError, TypeError, ValueError, InputError, ParameterError) as exc:
         raise CheckpointFormatError(f"{path}: invalid registry section ({exc})") from exc
-    geometry = {
-        cid: ClassGeometry(center=centers[k], prototype=protos[k],
-                           reciprocal=recips[k], margin=float(margins[k]))
-        for k, cid in enumerate(ids)
-    }
-    return Registry(params=mp, geometry=geometry, threshold=threshold,
-                    metadata=metadata.get("creation", {}))

@@ -9,7 +9,7 @@ variable (debug/info/warning/error; default warning).
 Artifacts under the output directory:
   corpus/            per-identity record files + manifest.json   (synth)
   pretrain.ckpt      pretrained dual-encoder checkpoint          (pretrain)
-  registry.reg       fine-tuned weights, geometry, threshold     (finetune)
+  registry.reg       fine-tuned weights, prototypes, threshold   (finetune)
   eval/metrics.csv   one open-set curve block per ratio          (eval)
   eval/embeddings.csv, eval/summary.json                         (eval)
   eval/open_identities.json  per open identity: beats accepted, and as whom (eval)

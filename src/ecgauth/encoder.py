@@ -10,8 +10,8 @@ normalization) used for contrastive alignment.
 Checkpoints are a single-file container: an 8-byte magic, a JSON header
 (format version, encoder configuration, tensor manifest), the tensors as
 little-endian float64 in manifest order, and a SHA-256 digest of everything
-before it. Registries reuse the container with extra geometry tensors and a
-metadata section.
+before it. Registries reuse the container with one extra tensor (the
+prototype matrix) and a metadata section.
 """
 
 from __future__ import annotations

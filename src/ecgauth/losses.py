@@ -1,12 +1,15 @@
 """Objectives for contrastive pretraining and identity-geometry fine-tuning.
 
-Four losses: the symmetric cross-modal contrastive loss, a self-constraint
-center loss against per-class medoid centers, a distance-softmax prototype
-loss, and a reciprocal-point repulsion hinge; fine-tuning weights the last
-three with ``FinetuneConfig.alpha``, ``beta`` and ``gamma``, and
-``PretrainConfig.tau`` is the contrastive temperature. Distances are squared
-Euclidean throughout except the medoid, which minimizes the sum of plain
-Euclidean distances.
+Three losses are trained: the symmetric cross-modal contrastive loss
+(``PretrainConfig.tau`` is its temperature), and, weighted by
+``FinetuneConfig.alpha`` and ``beta``, a self-constraint center loss against
+per-class medoid centers and a distance-softmax prototype loss. Distances are
+squared Euclidean throughout except the medoid, which minimizes the sum of
+plain Euclidean distances.
+
+``repulsion_loss_grad``, a reciprocal-point hinge, is part of no objective;
+it stays only while the benchmark tracer (``perfbench/tracing.py``) binds it
+by name.
 
 Each ``*_grad`` function returns the loss together with analytic gradients;
 they are plain functions of their inputs (no hidden state), so central finite
@@ -15,8 +18,6 @@ differences validate them directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InputError, ParameterError, ShapeError
@@ -24,45 +25,6 @@ from .errors import InputError, ParameterError, ShapeError
 # exp() underflows to zero below roughly -745; clipping shifted logits here
 # keeps every probability strictly positive without changing the argmax.
 _LOGIT_FLOOR = -700.0
-
-
-@dataclass
-class ClassGeometry:
-    """Learned geometry of one enrolled identity.
-
-    The center is non-trainable (recomputed as the class medoid each epoch);
-    the prototype and reciprocal point move by gradient, and the margin is a
-    learnable non-negative scalar clamped after each optimizer step.
-    """
-
-    center: np.ndarray
-    prototype: np.ndarray
-    reciprocal: np.ndarray
-    margin: float
-
-    def __post_init__(self):
-        self.center = np.asarray(self.center, dtype=np.float64)
-        self.prototype = np.asarray(self.prototype, dtype=np.float64)
-        self.reciprocal = np.asarray(self.reciprocal, dtype=np.float64)
-        self.margin = float(self.margin)
-        for name in ("center", "prototype", "reciprocal"):
-            v = getattr(self, name)
-            if v.ndim != 1:
-                raise ShapeError(f"{name} must be a 1-D vector")
-            if not np.all(np.isfinite(v)):
-                raise InputError(f"{name} must be finite")
-        if self.prototype.shape != self.center.shape or self.reciprocal.shape != self.center.shape:
-            raise ShapeError("center, prototype, and reciprocal must share one width")
-        if not np.isfinite(self.margin) or self.margin < 0:
-            raise ParameterError("margin must be a finite non-negative scalar")
-
-    def copy(self) -> "ClassGeometry":
-        return ClassGeometry(
-            center=self.center.copy(),
-            prototype=self.prototype.copy(),
-            reciprocal=self.reciprocal.copy(),
-            margin=self.margin,
-        )
 
 
 # ----------------------------------------------------------------------

@@ -650,16 +650,13 @@ class AblationRow:
     pretrain: bool
     self_constraint: bool
     prototype: bool
-    reciprocal: bool
     accuracy: float
     oscr: float
     tnr: float
     far: float
 
 
-ABLATION_VARIANTS = (
-    "full", "no_pretrain", "no_self_constraint", "no_prototype", "no_reciprocal",
-)
+ABLATION_VARIANTS = ("full", "no_pretrain", "no_self_constraint", "no_prototype")
 
 
 def run_ablations(cfg: RunConfig, corpus: Corpus | None = None,
@@ -675,8 +672,7 @@ def run_ablations(cfg: RunConfig, corpus: Corpus | None = None,
     if pretrained is None:
         pretrained, _ = pretrain_stage(corpus, cfg)
     switched_off = {"no_self_constraint": {"alpha": 0.0},
-                    "no_prototype": {"beta": 0.0},
-                    "no_reciprocal": {"gamma": 0.0}}
+                    "no_prototype": {"beta": 0.0}}
     rows = []
     for variant in ABLATION_VARIANTS:
         ft = dataclasses.replace(cfg.finetune, **switched_off.get(variant, {}))
@@ -693,7 +689,6 @@ def run_ablations(cfg: RunConfig, corpus: Corpus | None = None,
             pretrain=use_pre,
             self_constraint=ft.alpha > 0,
             prototype=ft.beta > 0,
-            reciprocal=ft.gamma > 0,
             accuracy=r.accuracy,
             oscr=r.curve.oscr_area,
             tnr=r.tnr,
@@ -704,11 +699,9 @@ def run_ablations(cfg: RunConfig, corpus: Corpus | None = None,
 
 def format_ablation_table(rows) -> str:
     """Ablation study as CSV: one row per variant, switches as 0/1 flags."""
-    lines = ["variant,pretrain,self_constraint,prototype,reciprocal,"
-             "accuracy,oscr,tnr,far"]
+    lines = ["variant,pretrain,self_constraint,prototype,accuracy,oscr,tnr,far"]
     for r in rows:
-        flags = [int(r.pretrain), int(r.self_constraint), int(r.prototype),
-                 int(r.reciprocal)]
+        flags = [int(r.pretrain), int(r.self_constraint), int(r.prototype)]
         vals = [r.accuracy, r.oscr, r.tnr, r.far]
         lines.append(",".join([r.variant] + [str(f) for f in flags]
                               + [repr(float(v)) for v in vals]))

@@ -4,8 +4,8 @@ Pretraining aligns beat-segment and report projections with the symmetric
 contrastive objective over shuffled mini-batches. Fine-tuning freezes the
 report branch and the contrastive heads, recomputes each class's medoid
 center at the start of every epoch with the current encoder, and jointly
-updates the encoder weights, prototypes, reciprocal points, and margins
-under the weighted three-part objective. Each stage takes its own config
+updates the encoder weights and the class prototypes under the weighted
+self-constraint and prototype objective. Each stage takes its own config
 (``PretrainConfig``, ``FinetuneConfig``) and the run seed, updates by Adam,
 and is bit-reproducible for a fixed seed.
 """
@@ -27,12 +27,10 @@ from .encoder import (
 )
 from .errors import ConfigurationError, InputError, ParameterError, StateError
 from .losses import (
-    ClassGeometry,
     center_loss_grad,
     compute_medoid,
     contrastive_loss_grad,
     prototype_loss_grad,
-    repulsion_loss_grad,
 )
 
 #: Parameter-name prefixes updated by fine-tuning (the embedding path only).
@@ -44,9 +42,9 @@ _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
 
 
-def _check_schedule(cfg) -> None:
-    if cfg.batch_size < 1:
-        raise ParameterError("batch_size must be >= 1")
+def _check_schedule(cfg, min_batch: int) -> None:
+    if cfg.batch_size < min_batch:
+        raise ParameterError(f"batch_size must be >= {min_batch}")
     if cfg.epochs < 0:
         raise ParameterError("epochs must be >= 0")
     if not cfg.learning_rate > 0:
@@ -57,8 +55,7 @@ def _check_schedule(cfg) -> None:
 class PretrainConfig:
     """Signal-report pretraining: Adam on the contrastive loss at temperature tau.
 
-    ``pretrain`` additionally requires batch_size >= 2: the contrastive loss
-    needs in-batch negatives.
+    batch_size must be >= 2: the contrastive loss needs in-batch negatives.
     """
 
     batch_size: int = 32
@@ -67,26 +64,25 @@ class PretrainConfig:
     tau: float = 0.07
 
     def __post_init__(self):
-        _check_schedule(self)
+        _check_schedule(self, min_batch=2)
         if not self.tau > 0:
             raise ParameterError("temperature tau must be positive")
 
 
 @dataclass(frozen=True)
 class FinetuneConfig:
-    """Fine-tuning: Adam on alpha * self-constraint + beta * prototype
-    + gamma * repulsion. A zero weight switches its term off."""
+    """Fine-tuning: Adam on alpha * self-constraint + beta * prototype.
+    A zero weight switches its term off."""
 
     batch_size: int = 32
     epochs: int = 30
     learning_rate: float = 5e-4
     alpha: float = 0.1
     beta: float = 1.0
-    gamma: float = 0.1
 
     def __post_init__(self):
-        _check_schedule(self)
-        if self.alpha < 0 or self.beta < 0 or self.gamma < 0:
+        _check_schedule(self, min_batch=1)
+        if self.alpha < 0 or self.beta < 0:
             raise ParameterError("loss weights must be non-negative")
 
 
@@ -167,8 +163,6 @@ def pretrain(pairs, cfg: PretrainConfig, seed: int,
     symmetric contrastive loss over shuffled mini-batches; a trailing batch
     of size 1 is dropped (no negatives). Returns (ModelParams, TrainReport).
     """
-    if cfg.batch_size < 2:
-        raise ConfigurationError("pretraining needs batch_size >= 2 for negatives")
     pairs = list(pairs)
     if len(pairs) < 2:
         raise InputError("pretraining needs at least 2 (segment, report) pairs")
@@ -238,15 +232,15 @@ def _class_medoids(mp: ModelParams, windows, class_idx, n_classes) -> np.ndarray
 
 
 def finetune(labeled, params: ModelParams, cfg: FinetuneConfig, seed: int):
-    """Train encoder weights and per-identity geometry on labeled segments.
+    """Train encoder weights and one prototype per identity on labeled segments.
 
-    Implements the joint loop: at the start of each epoch, class centers are
-    reset to the medoids of the current embeddings; each mini-batch then
-    applies the weighted self-constraint, prototype, and repulsion losses and
-    updates the signal-branch weights together with prototypes, reciprocal
-    points, and margins. Margins are clamped to >= 0 after every step. Loss
-    terms with zero weight are skipped outright, leaving their geometry
-    untouched. Returns (ModelParams, {class id: ClassGeometry}, TrainReport).
+    Implements the joint loop: prototypes start at the class medoids; at the
+    start of each epoch, class centers are reset to the medoids of the
+    current embeddings; each mini-batch then applies the weighted
+    self-constraint and prototype losses and updates the signal-branch
+    weights together with the prototypes. Loss terms with zero weight are
+    skipped outright. Returns (ModelParams, sorted class ids, prototypes as
+    an (n_ids, embed_dim) matrix in id order, TrainReport).
     """
     windows, class_ids, class_idx = _group_by_class(labeled)
     n, n_classes = windows.shape[0], len(class_ids)
@@ -257,8 +251,8 @@ def finetune(labeled, params: ModelParams, cfg: FinetuneConfig, seed: int):
 
     centers = _class_medoids(mp, windows, class_idx, n_classes)
     protos = centers.copy()
-    recips = rng.normal(0.0, 0.1, size=centers.shape)
-    margins = np.ones(n_classes)
+    # discarded; without it every epoch shuffle, and so every artifact, changes
+    rng.normal(0.0, 0.1, size=centers.shape)
 
     trainable = [k for k in mp.params if k.startswith(_SIGNAL_PREFIXES)]
     opt = _Adam(cfg.learning_rate)
@@ -269,7 +263,7 @@ def finetune(labeled, params: ModelParams, cfg: FinetuneConfig, seed: int):
         if epoch > 0:  # epoch 0 runs on the weights the centers above came from
             centers = _class_medoids(mp, windows, class_idx, n_classes)
         perm = rng.permutation(n)
-        sums = {"self": 0.0, "proto": 0.0, "repulsion": 0.0, "total": 0.0}
+        sums = {"self": 0.0, "proto": 0.0, "total": 0.0}
         seen = 0
         for start in range(0, n, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
@@ -277,7 +271,7 @@ def finetune(labeled, params: ModelParams, cfg: FinetuneConfig, seed: int):
             feats, tape = model.forward_signal(mp, windows[idx], train=True)
             d_feats = np.zeros_like(feats)
             geom_grads: dict[str, np.ndarray] = {}
-            l_self = l_proto = l_rep = 0.0
+            l_self = l_proto = 0.0
             if cfg.alpha > 0:
                 l_self, dfc = center_loss_grad(feats, centers[yb])
                 d_feats += cfg.alpha * dfc
@@ -285,42 +279,20 @@ def finetune(labeled, params: ModelParams, cfg: FinetuneConfig, seed: int):
                 l_proto, dfp, dp = prototype_loss_grad(feats, yb, protos)
                 d_feats += cfg.beta * dfp
                 geom_grads["geom.protos"] = cfg.beta * dp
-            if cfg.gamma > 0:
-                l_rep, dfr, dor, drr = repulsion_loss_grad(
-                    feats, recips[yb], margins[yb]
-                )
-                d_feats += cfg.gamma * dfr
-                go = np.zeros_like(recips)
-                gr = np.zeros_like(margins)
-                np.add.at(go, yb, cfg.gamma * dor)
-                np.add.at(gr, yb, cfg.gamma * drr)
-                geom_grads["geom.recips"] = go
-                geom_grads["geom.margins"] = gr
             grads = model.backward_signal(mp, d_feats, tape)
             del tape  # free the activations before the next batch's forward pass
             tensors = {k: mp.params[k] for k in trainable}
-            tensors.update({"geom.protos": protos, "geom.recips": recips,
-                            "geom.margins": margins})
+            tensors["geom.protos"] = protos
             grads.update(geom_grads)
             opt.step(tensors, grads)
-            np.maximum(margins, 0.0, out=margins)
-            batch_total = (cfg.alpha * l_self + cfg.beta * l_proto
-                           + cfg.gamma * l_rep)
+            batch_total = cfg.alpha * l_self + cfg.beta * l_proto
             sums["self"] += l_self * idx.size
             sums["proto"] += l_proto * idx.size
-            sums["repulsion"] += l_rep * idx.size
             sums["total"] += batch_total * idx.size
             seen += idx.size
         losses = {k: v / seen for k, v in sums.items()}
         _check_epoch_losses(losses, "finetune")
         report.epochs.append(EpochStats(epoch, losses, time.perf_counter() - t0))
 
-    if cfg.epochs > 0:  # leave centers consistent with the final weights
-        centers = _class_medoids(mp, windows, class_idx, n_classes)
-    geometry = {
-        cid: ClassGeometry(center=centers[k], prototype=protos[k],
-                           reciprocal=recips[k], margin=float(margins[k]))
-        for k, cid in enumerate(class_ids)
-    }
     report.final_checksum = mp.checksum()
-    return mp, geometry, report
+    return mp, class_ids, protos, report

@@ -45,8 +45,9 @@ from ecgauth.training import FinetuneConfig, PretrainConfig
 # ----------------------------------------------------------------------
 # gradient correctness
 #
-# Analytic gradients of all five losses, for every parameter group each
-# loss has, against central finite differences in double precision. The
+# Analytic gradients of the four losses and of the fine-tuning objective
+# (alpha * self-constraint + beta * prototype), for every parameter group
+# each has, against central finite differences in double precision. The
 # relative-error denominator is floored at 1e-6: central differences of
 # an O(1) loss carry ~1e-10 absolute noise, so coordinates below the
 # floor (exponentially small softmax tails) have no FD digits to compare
@@ -153,33 +154,25 @@ def test_loss_gradients_match_finite_differences():
                      int(rng.integers(2, 7)))
         alpha = float(rng.uniform(0.05, 0.5))
         beta = float(rng.uniform(0.5, 1.5))
-        gamma = float(rng.uniform(0.05, 0.5))
         # modest spread keeps the summed loss O(1), so central differences
         # retain enough digits for the weighted-cancellation coordinates
-        f, o, r = _repulsion_instance(rng, n, dim)
-        f *= 0.5
-        o *= 0.5
-        r *= 0.25
+        f = rng.normal(0.0, 0.5, (n, dim))
         c = rng.normal(0.0, 0.5, (n, dim))
         p = rng.normal(0.0, 0.5, (m, dim))
         y = rng.integers(0, m, n)
 
         def scalar():
             return (alpha * center_loss_grad(f, c)[0]
-                    + beta * prototype_loss_grad(f, y, p)[0]
-                    + gamma * repulsion_loss_grad(f, o, r)[0])
+                    + beta * prototype_loss_grad(f, y, p)[0])
 
         _, ds = center_loss_grad(f, c)
         _, dpf, dpp = prototype_loss_grad(f, y, p)
-        _, drf, dro, drm = repulsion_loss_grad(f, o, r)
         analytic = [
-            alpha * ds + beta * dpf + gamma * drf,  # features
-            -alpha * ds,                            # centers
-            beta * dpp,                             # prototypes
-            gamma * dro,                            # reciprocals
-            gamma * drm,                            # margins
+            alpha * ds + beta * dpf,  # features
+            -alpha * ds,              # centers
+            beta * dpp,               # prototypes
         ]
-        fd = _fd_gradients(scalar, [f, c, p, o, r])
+        fd = _fd_gradients(scalar, [f, c, p])
         errs.append(_max_rel_err(analytic, fd))
     worst["total"] = max(errs)
 
@@ -483,7 +476,7 @@ def test_ablations_complete_with_comparison_csv(experiment, ablation_rows):
     csv_path = experiment.root / "ablations.csv"
     lines = csv_path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == ("variant,pretrain,self_constraint,prototype,"
-                        "reciprocal,accuracy,oscr,tnr,far")
+                        "accuracy,oscr,tnr,far")
     assert len(lines) == 1 + len(pipeline.ABLATION_VARIANTS)
 
     full = next(r for r in ablation_rows if r.variant == "full")

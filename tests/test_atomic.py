@@ -8,7 +8,6 @@ import pytest
 from ecgauth.atomic import atomic_open
 from ecgauth.authsys import Registry, save_registry
 from ecgauth.encoder import EncoderConfig, init_params, save_checkpoint
-from ecgauth.losses import ClassGeometry
 from ecgauth.metrics import write_embeddings_csv
 from ecgauth.signals import EcgRecord, write_record
 
@@ -17,10 +16,8 @@ SMALL = EncoderConfig(n_blocks=1, channels=(4,), kernel_size=3, embed_dim=8, pro
 
 def _registry(seed):
     mp = init_params(SMALL, 32, seed=seed)
-    geo = {cid: ClassGeometry(center=np.full(8, cid / 10), prototype=np.full(8, cid / 10),
-                              reciprocal=np.zeros(8), margin=1.0)
-           for cid in (1, 2)}
-    return Registry(params=mp, geometry=geo, threshold=0.9)
+    protos = np.repeat([[0.1], [0.2]], 8, axis=1)  # ids 1 and 2
+    return Registry(params=mp, ids=[1, 2], prototypes=protos, threshold=0.9)
 
 
 def _record(seed):

@@ -1,5 +1,6 @@
 """Enrollment, authentication decisions, calibration, registry persistence."""
 
+import dataclasses
 import logging
 from types import SimpleNamespace
 
@@ -8,7 +9,6 @@ import pytest
 
 import ecgauth.authsys as authsys
 from ecgauth.authsys import (
-    Registry,
     authenticate,
     authenticate_batch,
     calibrate_threshold,
@@ -17,12 +17,19 @@ from ecgauth.authsys import (
     save_registry,
     score_batch,
 )
-from ecgauth.encoder import EncoderConfig, init_params, save_checkpoint
+from ecgauth.encoder import (
+    EncoderConfig,
+    init_params,
+    load_container,
+    save_checkpoint,
+    save_container,
+)
 from ecgauth.errors import (
     CheckpointChecksumError,
     CheckpointFormatError,
     InputError,
     ParameterError,
+    ShapeError,
 )
 from ecgauth.signals import IdentityMorphology, segment_beats, synth_ecg
 from ecgauth.training import FinetuneConfig
@@ -89,12 +96,10 @@ def test_batch_matches_single_decisions(labeled, registry):
 def test_threshold_splits_accept_and_reject(labeled, registry):
     seg = labeled[0][0]
     prob = authenticate(registry, seg).max_prob
-    lenient = Registry(params=registry.params, geometry=registry.geometry,
-                       threshold=prob / 2, metadata=registry.metadata)
+    lenient = dataclasses.replace(registry, threshold=prob / 2)
     assert authenticate(lenient, seg).accepted
-    stricter = Registry(params=registry.params, geometry=registry.geometry,
-                        threshold=min(prob * 1.0001, 1 - 1e-12),
-                        metadata=registry.metadata)
+    stricter = dataclasses.replace(registry,
+                                   threshold=min(prob * 1.0001, 1 - 1e-12))
     assert stricter.threshold > prob
     assert not authenticate(stricter, seg).accepted
 
@@ -110,11 +115,26 @@ def test_score_batch_chunks_large_batches(labeled, registry):
 
 
 def test_registry_validation(registry):
+    def variant(**change):
+        return dataclasses.replace(registry, **change)
+
+    protos = registry.prototypes
     with pytest.raises(InputError):
-        Registry(params=registry.params, geometry={}, threshold=0.5)
+        variant(ids=[], prototypes=protos[:0])
+    with pytest.raises(InputError):
+        variant(ids=[2, 1, 3])  # not sorted
+    with pytest.raises(ShapeError):
+        variant(prototypes=protos[0])  # wrong rank
+    with pytest.raises(ShapeError):
+        variant(prototypes=protos[:, :4])  # narrower than the encoder
+    with pytest.raises(ShapeError):
+        variant(prototypes=protos[:2])  # fewer rows than ids
+    bad = protos.copy()
+    bad[1, 2] = np.nan
+    with pytest.raises(InputError):
+        variant(prototypes=bad)
     with pytest.raises(ParameterError):
-        Registry(params=registry.params, geometry=registry.geometry,
-                 threshold=1.0)
+        variant(threshold=1.0)
 
 
 # ----------------------------------------------------------------------
@@ -210,19 +230,20 @@ def test_registry_detects_corruption(tmp_path, registry):
         load_registry(path)
 
 
-def test_registry_missing_geometry_tensor(tmp_path, registry):
-    from ecgauth.encoder import save_container
+def test_registry_holds_only_what_authentication_reads(tmp_path, registry):
+    path = tmp_path / "ids.reg"
+    save_registry(registry, path)
+    _, extras, metadata = load_container(path, "registry")
+    assert set(extras) == {"registry.prototypes"}
+    assert extras["registry.prototypes"].tobytes() == registry.prototypes.tobytes()
+    assert set(metadata) == {"ids", "threshold", "creation"}
 
+
+def test_registry_missing_geometry_tensor(tmp_path, registry):
     path = tmp_path / "bad.reg"
-    g = registry.geometry
-    ids = registry.ids
-    extras = {
-        "registry.centers": np.stack([g[i].center for i in ids]),
-        "registry.prototypes": np.stack([g[i].prototype for i in ids]),
-        "registry.reciprocals": np.stack([g[i].reciprocal for i in ids]),
-        # margins deliberately absent
-    }
-    save_container(path, "registry", registry.params, extras,
-                   {"ids": ids, "threshold": 0.9, "creation": {}})
-    with pytest.raises(CheckpointFormatError):
+    save_container(path, "registry", registry.params, {},
+                   {"ids": registry.ids, "threshold": registry.threshold,
+                    "creation": registry.metadata})
+    with pytest.raises(CheckpointFormatError,
+                       match=r"missing=\['registry.prototypes'\]"):
         load_registry(path)

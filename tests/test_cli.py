@@ -22,6 +22,7 @@ from ecgauth.encoder import (
     encode_signal_batch,
     load_checkpoint,
     save_checkpoint,
+    save_container,
 )
 from ecgauth.errors import ConfigurationError, StateError
 from ecgauth.metrics import OPEN
@@ -267,7 +268,7 @@ def test_default_config_dict_is_the_plain_run_config():
     assert list(tree["pretrain"]) == [
         "batch_size", "epochs", "learning_rate", "tau"]
     assert list(tree["finetune"]) == [
-        "batch_size", "epochs", "learning_rate", "alpha", "beta", "gamma"]
+        "batch_size", "epochs", "learning_rate", "alpha", "beta"]
 
 
 def test_config_sections_match_dataclass_fields():
@@ -301,7 +302,9 @@ def test_config_sections_match_dataclass_fields():
     ("finetune", {"beta1": 1.0}),
     ("finetune", {"eps": 0}),
     ("finetune", {"optimizer": "sgd", "momentum": -5}),
-], ids=["batch_size", "epochs", "half_window", "beta1", "eps", "momentum"])
+    ("pretrain", {"batch_size": 1}),  # the contrastive loss needs negatives
+], ids=["batch_size", "epochs", "half_window", "beta1", "eps", "momentum",
+        "pretrain_batch_size_1"])
 def test_bad_optimizer_and_shape_values_are_config_errors(tmp_path, section,
                                                           values):
     bad = tmp_path / "bad.json"
@@ -312,9 +315,14 @@ def test_bad_optimizer_and_shape_values_are_config_errors(tmp_path, section,
     assert not (tmp_path / "corpus").exists()
 
 
-@pytest.mark.parametrize("section", ["pretrain", "finetune"])
-@pytest.mark.parametrize("key", ["optimizer", "momentum", "beta1", "beta2",
-                                 "eps"])
+_REMOVED_KEYS = [(section, key) for key in ("optimizer", "momentum", "beta1",
+                                             "beta2", "eps")
+                 for section in ("pretrain", "finetune")]
+_REMOVED_KEYS.append(("finetune", "gamma"))  # the reciprocal-point repulsion weight
+
+
+@pytest.mark.parametrize("section,key", _REMOVED_KEYS,
+                         ids=[f"{k}-{s}" for s, k in _REMOVED_KEYS])
 def test_removed_stage_keys_are_unknown(tmp_path, capsys, section, key):
     bad = tmp_path / "bad.json"
     doc = tiny_config_dict()
@@ -425,6 +433,37 @@ def test_checkpoint_tensor_mismatch_exit_code(workspace, tmp_path):
     save_checkpoint(mp, target / "pretrain.ckpt")
     assert _run("finetune", "--config", str(cfg_path),
                 "--out", str(target)) == 5
+
+
+@pytest.mark.parametrize("damage", ["narrow", "non-finite", "reciprocal-layout"])
+def test_invalid_registry_tensors_exit_code(workspace, tmp_path, capsys, damage):
+    """Prototypes that cannot score the encoder's embeddings, or tensors that
+    authentication never reads, are a bad registry file, not a crash."""
+    cfg_path, out = workspace
+    target = tmp_path / "badreg"
+    target.mkdir()
+    good = load_registry(out / "registry.reg")
+    protos = good.prototypes.copy()
+    extras = {"registry.prototypes": protos}
+    if damage == "narrow":
+        extras["registry.prototypes"] = protos[:, : protos.shape[1] // 2]
+    elif damage == "non-finite":
+        protos[0, 0] = np.nan
+    else:
+        extras.update({"registry.centers": protos,
+                       "registry.reciprocals": np.zeros_like(protos),
+                       "registry.margins": np.ones(len(protos))})
+    save_container(target / "registry.reg", "registry", good.params, extras,
+                   {"ids": good.ids, "threshold": good.threshold,
+                    "creation": good.metadata})
+    record = out / "corpus" / "id_0001.ecg"
+    assert main(["auth", "--config", str(cfg_path), "--out", str(target),
+                 str(record)]) == 5
+    err = capsys.readouterr().err
+    assert "registry.reg" in err and "Traceback" not in err
+    if damage == "reciprocal-layout":
+        assert ("surplus=['registry.centers', 'registry.margins', "
+                "'registry.reciprocals']") in err
 
 
 @pytest.mark.parametrize("change", [

@@ -11,7 +11,6 @@ from ecgauth.errors import (
     ShapeError,
 )
 from ecgauth.losses import (
-    ClassGeometry,
     center_loss_grad,
     compute_medoid,
     contrastive_loss,
@@ -182,14 +181,6 @@ def test_prototype_prob_survives_large_common_offset():
 # ----------------------------------------------------------------------
 # self-constraint center loss
 
-def _geometry(centers):
-    return {
-        i: ClassGeometry(center=c, prototype=c.copy(), reciprocal=c.copy(),
-                         margin=1.0)
-        for i, c in enumerate(centers)
-    }
-
-
 def test_self_constraint_zero_at_centers():
     centers = np.array([[1.0, 2.0], [-3.0, 0.5]])
     labels = [0, 1, 0]
@@ -247,7 +238,7 @@ def test_prototype_gradients_cover_features_and_prototypes():
 
 
 # ----------------------------------------------------------------------
-# reciprocal-point repulsion
+# reciprocal-point repulsion (no training objective uses it; see losses)
 
 def test_repulsion_inside_margin_is_inert():
     f = np.array([[0.1, 0.0], [0.0, -0.1]])
@@ -288,48 +279,16 @@ def test_repulsion_gradients():
               [dfeat, drecip, dmargin], rng=rng)
 
 
-def test_repulsion_by_labels_matches_gathered_form():
-    # finetune gathers each sample's class rows by label; the batch loss is
-    # then the mean of the per-sample losses
-    geo = _geometry([np.zeros(2), np.full(2, 4.0)])
-    recips = np.stack([geo[0].reciprocal, geo[1].reciprocal])
-    margins = np.array([geo[0].margin, geo[1].margin])
-    f = np.array([[3.0, 0.0], [4.0, 4.1], [0.5, 0.0]])
-    labels = np.array([0, 1, 0])
-    loss, _, _, _ = repulsion_loss_grad(f, recips[labels], margins[labels])
-    singles = [repulsion_loss_grad(f[i : i + 1], recips[[y]], margins[[y]])[0]
-               for i, y in enumerate(labels)]
-    assert loss == pytest.approx(np.mean(singles), abs=1e-12)
-    assert loss > 0.0
-
-
 # ----------------------------------------------------------------------
-# containers
+# loss weights
 
 def test_loss_weights_validation():
     """The loss weights live on the stage configs that use them."""
     with pytest.raises(ParameterError):
         PretrainConfig(tau=0.0)
-    for weight in ("alpha", "beta", "gamma"):
+    for weight in ("alpha", "beta"):
         with pytest.raises(ParameterError):
             FinetuneConfig(**{weight: -0.1})
-    FinetuneConfig(alpha=0.0, beta=0.0, gamma=0.0)  # bounds are valid
+    FinetuneConfig(alpha=0.0, beta=0.0)  # bounds are valid
     ft, pt = FinetuneConfig(), PretrainConfig()
-    assert (ft.alpha, ft.beta, ft.gamma, pt.tau) == (0.1, 1.0, 0.1, 0.07)
-
-
-def test_class_geometry_validation():
-    c = np.zeros(3)
-    with pytest.raises(ShapeError):
-        ClassGeometry(center=np.zeros((2, 2)), prototype=c, reciprocal=c, margin=1.0)
-    with pytest.raises(ShapeError):
-        ClassGeometry(center=c, prototype=np.zeros(4), reciprocal=c, margin=1.0)
-    with pytest.raises(InputError):
-        ClassGeometry(center=c * np.nan, prototype=c, reciprocal=c, margin=1.0)
-    with pytest.raises(ParameterError):
-        ClassGeometry(center=c, prototype=c, reciprocal=c, margin=-0.5)
-    geo = ClassGeometry(center=c, prototype=c, reciprocal=c, margin=0.0)
-    cp = geo.copy()
-    cp.prototype[0] = 9.0
-    assert geo.prototype[0] == 0.0
-
+    assert (ft.alpha, ft.beta, pt.tau) == (0.1, 1.0, 0.07)

@@ -1,4 +1,4 @@
-"""Training loops: reproducibility, loss descent, geometry update rules."""
+"""Training loops: reproducibility, loss descent, prototype and center rules."""
 
 import numpy as np
 import pytest
@@ -45,14 +45,15 @@ def labeled():
 # config validation
 
 def test_train_config_validation():
-    for stage in (PretrainConfig, FinetuneConfig):
-        for bad in (dict(batch_size=0), dict(epochs=-1),
+    # pretraining's contrastive loss needs in-batch negatives
+    for stage, min_batch in ((PretrainConfig, 2), (FinetuneConfig, 1)):
+        for bad in (dict(batch_size=min_batch - 1), dict(epochs=-1),
                     dict(learning_rate=0.0)):
             with pytest.raises(ParameterError):
                 stage(**bad)
-        stage(batch_size=1, epochs=0)  # bounds are valid
+        stage(batch_size=min_batch, epochs=0)  # bounds are valid
     assert PretrainConfig() == PretrainConfig(32, 20, 1e-3, 0.07)
-    assert FinetuneConfig() == FinetuneConfig(32, 30, 5e-4, 0.1, 1.0, 0.1)
+    assert FinetuneConfig() == FinetuneConfig(32, 30, 5e-4, 0.1, 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -87,9 +88,8 @@ def test_pretrain_zero_epochs_returns_fresh_init(labeled):
 
 def test_pretrain_input_validation(labeled):
     pairs = _pairs(labeled)
-    with pytest.raises(ConfigurationError):
-        pretrain(pairs, PretrainConfig(batch_size=1), 0,
-                 encoder_config=SMALL_ENC)
+    with pytest.raises(ParameterError):
+        PretrainConfig(batch_size=1)
     with pytest.raises(InputError):
         pretrain(pairs[:1], PretrainConfig(), 0, encoder_config=SMALL_ENC)
 
@@ -112,18 +112,18 @@ def _init_mp(labeled, seed=3):
 
 
 def test_finetune_total_is_weighted_sum_of_parts(labeled):
-    cfg = FinetuneConfig(batch_size=8, epochs=2, alpha=0.3, beta=0.7, gamma=0.2)
-    _, _, report = finetune(labeled, _init_mp(labeled), cfg, 16)
+    cfg = FinetuneConfig(batch_size=8, epochs=2, alpha=0.3, beta=0.7)
+    _, _, _, report = finetune(labeled, _init_mp(labeled), cfg, 16)
     for epoch in report.epochs:
         parts = epoch.losses
-        weighted = (0.3 * parts["self"] + 0.7 * parts["proto"]
-                    + 0.2 * parts["repulsion"])
+        assert set(parts) == {"self", "proto", "total"}
+        weighted = 0.3 * parts["self"] + 0.7 * parts["proto"]
         assert parts["total"] == pytest.approx(weighted, rel=1e-12)
 
 
 def test_finetune_reduces_total_loss(labeled):
     cfg = FinetuneConfig(batch_size=8, epochs=5, learning_rate=5e-4)
-    _, _, report = finetune(labeled, _init_mp(labeled), cfg, 4)
+    _, _, _, report = finetune(labeled, _init_mp(labeled), cfg, 4)
     assert report.epochs[-1].losses["total"] < report.epochs[0].losses["total"]
     assert report.stage == "finetune"
 
@@ -131,20 +131,18 @@ def test_finetune_reduces_total_loss(labeled):
 def test_finetune_is_deterministic(labeled):
     cfg = FinetuneConfig(batch_size=8, epochs=2)
     mp = _init_mp(labeled)
-    mp_a, geo_a, _ = finetune(labeled, mp, cfg, 6)
-    mp_b, geo_b, _ = finetune(labeled, mp, cfg, 6)
+    mp_a, ids_a, protos_a, _ = finetune(labeled, mp, cfg, 6)
+    mp_b, ids_b, protos_b, _ = finetune(labeled, mp, cfg, 6)
     assert mp_a.checksum() == mp_b.checksum()
-    for cid in geo_a:
-        assert np.array_equal(geo_a[cid].prototype, geo_b[cid].prototype)
-        assert np.array_equal(geo_a[cid].reciprocal, geo_b[cid].reciprocal)
-        assert geo_a[cid].margin == geo_b[cid].margin
+    assert ids_a == ids_b == [1, 2, 3]
+    assert protos_a.tobytes() == protos_b.tobytes()
 
 
 def test_finetune_only_updates_signal_branch(labeled):
     cfg = FinetuneConfig(batch_size=8, epochs=1)
     mp = _init_mp(labeled)
     before = {k: v.copy() for k, v in mp.params.items()}
-    after, _, _ = finetune(labeled, mp, cfg, 7)
+    after, _, _, _ = finetune(labeled, mp, cfg, 7)
     for key in before:
         frozen = not key.startswith(("stem.", "block", "embed."))
         unchanged = np.array_equal(before[key], after.params[key])
@@ -153,41 +151,11 @@ def test_finetune_only_updates_signal_branch(labeled):
     assert all(np.array_equal(before[k], mp.params[k]) for k in before)
 
 
-def test_finetune_zero_gamma_leaves_reciprocals_at_init(labeled):
-    cfg = FinetuneConfig(batch_size=8, epochs=2, alpha=0.1, beta=1.0, gamma=0.0)
-    _, geometry, _ = finetune(labeled, _init_mp(labeled), cfg, 11)
-    class_ids = sorted(geometry)
-    dim = geometry[class_ids[0]].reciprocal.size
-    expected = np.random.default_rng(11).normal(
-        0.0, 0.1, size=(len(class_ids), dim))
-    for k, cid in enumerate(class_ids):
-        assert np.array_equal(geometry[cid].reciprocal, expected[k])
-        assert geometry[cid].margin == 1.0
-
-
 def test_finetune_zero_alpha_and_beta_still_run(labeled):
-    cfg = FinetuneConfig(batch_size=8, epochs=1, alpha=0.0, beta=0.0, gamma=0.1)
-    _, geometry, report = finetune(labeled, _init_mp(labeled), cfg, 12)
-    assert report.epochs[0].losses["self"] == 0.0
-    assert report.epochs[0].losses["proto"] == 0.0
-    assert set(geometry) == {1, 2, 3}
-
-
-def test_finetune_margins_never_shrink(labeled):
-    # the repulsion gradient on the margin is non-positive, so margins can
-    # only grow from their 1.0 start (the >= 0 clamp is a safety net)
-    cfg = FinetuneConfig(batch_size=8, epochs=3)
-    _, geometry, _ = finetune(labeled, _init_mp(labeled), cfg, 13)
-    assert all(g.margin >= 1.0 for g in geometry.values())
-
-
-def test_finetune_final_centers_are_current_medoids(labeled):
-    cfg = FinetuneConfig(batch_size=8, epochs=2)
-    mp, geometry, _ = finetune(labeled, _init_mp(labeled), cfg, 14)
-    for cid in geometry:
-        windows = np.stack([seg.window for seg, sid in labeled if sid == cid])
-        emb = encode_signal_batch(mp, windows)
-        assert np.array_equal(geometry[cid].center, compute_medoid(emb))
+    cfg = FinetuneConfig(batch_size=8, epochs=1, alpha=0.0, beta=0.0)
+    _, ids, _, report = finetune(labeled, _init_mp(labeled), cfg, 12)
+    assert report.epochs[0].losses == {"self": 0.0, "proto": 0.0, "total": 0.0}
+    assert ids == [1, 2, 3]
 
 
 def test_finetune_rejects_thin_classes(labeled):
@@ -201,22 +169,22 @@ def test_finetune_rejects_thin_classes(labeled):
 def test_finetune_zero_epochs_starts_geometry_at_medoids(labeled):
     mp = _init_mp(labeled)
     cfg = FinetuneConfig(batch_size=8, epochs=0)
-    tuned, geometry, report = finetune(labeled, mp, cfg, 17)
+    tuned, ids, protos, report = finetune(labeled, mp, cfg, 17)
     assert report.epochs == []
     assert tuned.checksum() == mp.checksum()
-    for cid, geo in geometry.items():
+    assert protos.shape == (len(ids), SMALL_ENC.embed_dim)
+    for k, cid in enumerate(ids):
         windows = np.stack([seg.window for seg, sid in labeled if sid == cid])
-        assert np.array_equal(geo.center, compute_medoid(encode_signal_batch(mp, windows)))
-        assert np.array_equal(geo.prototype, geo.center)
-        assert geo.margin == 1.0
+        assert np.array_equal(protos[k],
+                              compute_medoid(encode_signal_batch(mp, windows)))
 
 
 @pytest.mark.parametrize("epochs", [0, 1, 3])
 def test_finetune_refreshes_medoids_once_per_distinct_weights(labeled, epochs,
                                                               monkeypatch):
-    """One refresh before training and one after each epoch that changed the
-    weights; epoch 0 reuses the initial centers, which came from the same
-    weights."""
+    """One refresh per epoch, on the weights that epoch starts from; epoch 0
+    reuses the refresh before training, which also seeds the prototypes.
+    Nothing refreshes after the last epoch: no output reads the centers."""
     calls = []
     original = training._class_medoids
 
@@ -226,7 +194,8 @@ def test_finetune_refreshes_medoids_once_per_distinct_weights(labeled, epochs,
 
     monkeypatch.setattr(training, "_class_medoids", counting)
     cfg = FinetuneConfig(batch_size=8, epochs=epochs)
-    tuned, _, _ = finetune(labeled, _init_mp(labeled), cfg, 18)
-    assert len(calls) == epochs + 1
+    mp = _init_mp(labeled)
+    finetune(labeled, mp, cfg, 18)
+    assert len(calls) == max(epochs, 1)
     assert len(set(calls)) == len(calls)  # never twice on the same weights
-    assert calls[-1] == tuned.checksum()
+    assert calls[0] == mp.checksum()
