@@ -4,9 +4,9 @@ Two-stage training on a miniature corpus
 
 Stage one aligns beat windows with their text reports contrastively,
 giving the signal branch a warm start. Stage two fine-tunes the signal
-branch with the two-part geometry objective -- self-constraint toward
-medoid centers and a distance softmax toward dynamic prototypes --
-producing one prototype per identity, ready for enrollment.
+branch with a distance softmax toward dynamic prototypes, each started at
+its identity's medoid, producing one prototype per identity, ready for
+enrollment.
 
 Runs in a few seconds on one core.
 """
@@ -54,7 +54,7 @@ tuned, class_ids, prototypes, ft_report = finetune(train, params, cfg.finetune,
                                                    cfg.seed)
 first, last = ft_report.epochs[0].losses, ft_report.epochs[-1].losses
 print(f"finetune: total loss {first['total']:.4f} -> {last['total']:.4f} "
-      f"(self {last['self']:.4f}, proto {last['proto']:.4f})")
+      f"(proto {last['proto']:.4f})")
 
 for sid, proto in zip(class_ids, prototypes):
     print(f"  identity {sid}: |prototype| {np.linalg.norm(proto):.3f}")

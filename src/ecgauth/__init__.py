@@ -2,8 +2,8 @@
 
 Pipeline: synthesize or ingest single-lead records, detect R peaks, derive
 fiducial features and textual reports, pretrain a dual encoder contrastively
-on (beat, report) pairs, fine-tune per-identity geometry (medoid centers and
-dynamic prototypes), and evaluate open-set recognition.
+on (beat, report) pairs, fine-tune one prototype per identity (started at the
+class medoid), and evaluate open-set recognition.
 """
 
 from .errors import (

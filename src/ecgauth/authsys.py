@@ -1,12 +1,13 @@
 """Identity registry: enrollment, thresholded authentication, persistence.
 
 A registry holds exactly what authentication reads: the fine-tuned encoder,
-the sorted enrolled ids, one prototype per id, and an operating threshold.
-Authentication embeds a beat segment, scores it with the distance softmax
-over the enrolled prototypes, and accepts the argmax identity iff the winning
-probability clears the threshold. Registries persist in the same container
-format as encoder checkpoints, with the prototype matrix as the one extra
-tensor and the ids and threshold in metadata.
+the sorted enrolled ids, one prototype per id, an operating threshold, and
+the sampling rate its beats were recorded at. Authentication embeds a beat
+segment, scores it with the distance softmax over the enrolled prototypes,
+and accepts the argmax identity iff the winning probability clears the
+threshold. Registries persist in the same container format as encoder
+checkpoints, with the prototype matrix as the one extra tensor and the ids,
+threshold and sampling rate in metadata.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,18 +49,21 @@ class Decision:
 @dataclass
 class Registry:
     """Enrolled identities: encoder weights, sorted ids, their prototypes
-    (row k belongs to ids[k]), and the acceptance threshold."""
+    (row k belongs to ids[k]), the acceptance threshold, and the sampling
+    rate ``fs`` (Hz) of the records the encoder was trained on."""
 
     params: ModelParams
     ids: list[int]
     prototypes: np.ndarray
     threshold: float
+    fs: float
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.ids = [int(i) for i in self.ids]
         self.prototypes = np.asarray(self.prototypes, dtype=np.float64)
         self.threshold = float(self.threshold)
+        self.fs = float(self.fs)
         if not self.ids:
             raise InputError("registry needs at least one enrolled identity")
         if self.ids != sorted(set(self.ids)):
@@ -71,14 +76,19 @@ class Registry:
             raise InputError("prototypes must be finite")
         if not 0.0 < self.threshold < 1.0:
             raise ParameterError("threshold must lie strictly inside (0, 1)")
+        if not (math.isfinite(self.fs) and self.fs > 0):
+            raise ParameterError(f"sampling rate must be positive and finite, "
+                                 f"got {self.fs}")
 
     def digest(self) -> str:
-        """SHA-256 over encoder tensors, ids, prototypes, threshold, and metadata."""
+        """SHA-256 over encoder tensors, ids, prototypes, threshold, sampling
+        rate, and metadata."""
         h = hashlib.sha256()
         h.update(self.params.checksum().encode())
         h.update(json.dumps(self.ids).encode())
         h.update(np.ascontiguousarray(self.prototypes, dtype="<f8").tobytes())
         h.update(repr(self.threshold).encode())
+        h.update(repr(self.fs).encode())
         h.update(json.dumps(self.metadata, sort_keys=True).encode())
         return h.hexdigest()
 
@@ -94,9 +104,10 @@ def _config_digest(cfg: FinetuneConfig, seed: int, params: ModelParams) -> str:
 
 
 def enroll(labeled, params: ModelParams, cfg: FinetuneConfig, seed: int,
-           validation=None) -> Registry:
+           fs: float, validation=None) -> Registry:
     """Fine-tune on labeled segments and package a calibrated registry.
 
+    ``fs`` is the sampling rate of the records the segments were cut from.
     The threshold is calibrated on ``validation`` (sequence of
     (BeatSegment, id)) when given, otherwise on the enrollment segments
     themselves. Deterministic for fixed data, cfg and seed.
@@ -107,6 +118,7 @@ def enroll(labeled, params: ModelParams, cfg: FinetuneConfig, seed: int,
         ids=ids,
         prototypes=prototypes,
         threshold=_FALLBACK_THRESHOLD,
+        fs=fs,
         metadata={"seed": seed,
                   "config_digest": _config_digest(cfg, seed, params)},
     )
@@ -185,6 +197,7 @@ def save_registry(registry: Registry, path) -> None:
     metadata = {
         "ids": registry.ids,
         "threshold": registry.threshold,
+        "fs": registry.fs,
         "creation": registry.metadata,
     }
     save_container(path, "registry", registry.params,
@@ -195,8 +208,8 @@ def load_registry(path) -> Registry:
     """Read a registry container back, bit-exact, with distinct failure modes.
 
     The container must hold exactly one extra tensor, a finite
-    (len(ids), embed_dim) prototype matrix; anything else is a
-    CheckpointFormatError.
+    (len(ids), embed_dim) prototype matrix, and a positive finite sampling
+    rate ``fs``; anything else is a CheckpointFormatError.
     """
     mp, extras, metadata = load_container(path, "registry")
     if set(extras) != {_PROTOTYPES}:
@@ -209,6 +222,7 @@ def load_registry(path) -> Registry:
         return Registry(params=mp, ids=metadata["ids"],
                         prototypes=extras[_PROTOTYPES],
                         threshold=metadata["threshold"],
+                        fs=metadata["fs"],
                         metadata=metadata.get("creation", {}))
     except (KeyError, TypeError, ValueError, InputError, ParameterError) as exc:
         raise CheckpointFormatError(f"{path}: invalid registry section ({exc})") from exc

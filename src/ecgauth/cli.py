@@ -9,7 +9,7 @@ variable (debug/info/warning/error; default warning).
 Artifacts under the output directory:
   corpus/            per-identity record files + manifest.json   (synth)
   pretrain.ckpt      pretrained dual-encoder checkpoint          (pretrain)
-  registry.reg       fine-tuned weights, prototypes, threshold   (finetune)
+  registry.reg       fine-tuned weights, prototypes, threshold, fs (finetune)
   eval/metrics.csv   one open-set curve block per ratio          (eval)
   eval/embeddings.csv, eval/summary.json                         (eval)
   eval/open_identities.json  per open identity: beats accepted, and as whom (eval)
@@ -20,7 +20,8 @@ Exit codes:
   1  unexpected failure
   2  invalid configuration or command line
   3  missing upstream artifact (run the producing command first)
-  4  invalid input data (unreadable record or corpus manifest, malformed values)
+  4  invalid input data (unreadable record or corpus manifest, malformed values,
+     a record sampled at another rate than the registry was trained at)
   5  corrupt or incompatible checkpoint/registry file
   6  internal state error
 """
@@ -134,6 +135,9 @@ def cmd_auth(cfg, args) -> None:
     if not record_path.exists():
         raise InputError(f"record file not found: {record_path}")
     record = read_record(record_path)
+    if record.fs != registry.fs:
+        raise InputError(f"{record_path}: sampled at {record.fs!r} Hz, but the "
+                         f"registry was trained at {registry.fs!r} Hz")
     # the window the registry was trained on, whatever the config says
     segments = segment_beats(record, detect_r_peaks(record),
                              registry.params.input_length // 2)

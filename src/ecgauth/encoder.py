@@ -287,25 +287,22 @@ def encode_signal_batch(mp: ModelParams, x: np.ndarray) -> np.ndarray:
 
     Runs the signal chain's layers one at a time with the same ``forward``
     code as training (``train=False``) but keeps no tape: each layer's
-    backward cache is dropped as soon as its output exists. The conv trunk,
-    up to global average pooling, runs ``_ENCODE_CHUNK`` windows at a time,
-    so its activations stay cache-sized; in eval mode every trunk layer is
-    per-window, so its output does not depend on the chunk size. The final
-    ``embed`` layer then runs once over all pooled features. Its GEMM is
-    the one layer whose bits can depend on the row count, and one call over
-    the whole batch matches the taped ``forward_signal`` exactly.
+    backward cache is dropped as soon as its output exists. The chain runs
+    ``_ENCODE_CHUNK`` windows at a time, so its activations stay
+    cache-sized. In eval mode every layer is per-window, so a window's
+    embedding does not depend on the chunk size or on the other windows in
+    the batch, and it matches the taped ``forward_signal`` exactly.
     """
     model = build_model(mp)
     x = model._check_batch(x)
-    *trunk, embed = model.signal_chain.layers
-    pooled = []
+    out = []
     # an empty batch still makes one pass, so it keeps its (0, embed_dim) shape
     for start in range(0, max(x.shape[0], 1), _ENCODE_CHUNK):
         h = x[start : start + _ENCODE_CHUNK, None, :]
-        for layer in trunk:
+        for layer in model.signal_chain.layers:
             h = layer.forward(mp.params, mp.buffers, h, False)[0]
-        pooled.append(h)
-    return embed.forward(mp.params, mp.buffers, np.concatenate(pooled, axis=0), False)[0]
+        out.append(h)
+    return np.concatenate(out, axis=0)
 
 
 def encode_signal(mp: ModelParams, segment) -> np.ndarray:

@@ -180,7 +180,17 @@ class Linear:
     def forward(self, params, buffers, x, train):
         if x.shape[1] != self.n_in:
             raise ShapeError(f"{self.name}: expected width {self.n_in}, got {x.shape[1]}")
-        y = x @ params[f"{self.name}.weight"].T + params[f"{self.name}.bias"]
+        w = params[f"{self.name}.weight"]
+        if train:
+            y = x @ w.T
+        else:
+            # one matrix-vector product per row: BLAS rounds a GEMM
+            # differently for different row counts, and a scored window must
+            # not depend on the batch it came in
+            y = np.empty((x.shape[0], self.n_out))
+            for row, out in zip(x, y):
+                np.matmul(w, row, out=out)
+        y += params[f"{self.name}.bias"]
         return y, x
 
     def backward(self, params, dy, cache, grads):

@@ -446,7 +446,8 @@ def enroll_stage(corpus: Corpus, cfg: RunConfig, params: ModelParams) -> Registr
     train, val, _ = make_splits(corpus)
     logger.info("enrolling %d identities on %d segments",
                 len(corpus.enrolled), len(train))
-    return enroll(train, params, cfg.finetune, cfg.seed, validation=val)
+    return enroll(train, params, cfg.finetune, cfg.seed, corpus.fs,
+                  validation=val)
 
 
 @dataclass
@@ -648,7 +649,6 @@ class AblationRow:
 
     variant: str
     pretrain: bool
-    self_constraint: bool
     prototype: bool
     accuracy: float
     oscr: float
@@ -656,26 +656,28 @@ class AblationRow:
     far: float
 
 
-ABLATION_VARIANTS = ("full", "no_pretrain", "no_self_constraint", "no_prototype")
+ABLATION_VARIANTS = ("full", "no_pretrain", "no_prototype")
 
 
 def run_ablations(cfg: RunConfig, corpus: Corpus | None = None,
                   pretrained: ModelParams | None = None) -> list[AblationRow]:
-    """Toggle pretraining and each fine-tuning loss term off, one at a time.
+    """Toggle pretraining and the prototype loss off, one at a time.
 
     Every variant shares the corpus and (where used) the same pretrained
-    weights, so rows differ only in the ablated switch. Metrics are taken
-    at the first configured open-set ratio.
+    weights, so rows differ only in the ablated switch. ``no_prototype``
+    fine-tunes with no objective: its weights stay fixed, only the BatchNorm
+    running statistics move, and it is scored with the medoid prototypes.
+    Metrics are taken at the first configured open-set ratio.
     """
     if corpus is None:
         corpus = build_corpus(cfg)
     if pretrained is None:
         pretrained, _ = pretrain_stage(corpus, cfg)
-    switched_off = {"no_self_constraint": {"alpha": 0.0},
-                    "no_prototype": {"beta": 0.0}}
     rows = []
     for variant in ABLATION_VARIANTS:
-        ft = dataclasses.replace(cfg.finetune, **switched_off.get(variant, {}))
+        ft = cfg.finetune
+        if variant == "no_prototype":
+            ft = dataclasses.replace(ft, beta=0.0)
         use_pre = variant != "no_pretrain"
         var_cfg = dataclasses.replace(cfg, finetune=ft)
         params = pretrained if use_pre else initial_params(cfg)
@@ -687,7 +689,6 @@ def run_ablations(cfg: RunConfig, corpus: Corpus | None = None,
         rows.append(AblationRow(
             variant=variant,
             pretrain=use_pre,
-            self_constraint=ft.alpha > 0,
             prototype=ft.beta > 0,
             accuracy=r.accuracy,
             oscr=r.curve.oscr_area,
@@ -699,9 +700,9 @@ def run_ablations(cfg: RunConfig, corpus: Corpus | None = None,
 
 def format_ablation_table(rows) -> str:
     """Ablation study as CSV: one row per variant, switches as 0/1 flags."""
-    lines = ["variant,pretrain,self_constraint,prototype,accuracy,oscr,tnr,far"]
+    lines = ["variant,pretrain,prototype,accuracy,oscr,tnr,far"]
     for r in rows:
-        flags = [int(r.pretrain), int(r.self_constraint), int(r.prototype)]
+        flags = [int(r.pretrain), int(r.prototype)]
         vals = [r.accuracy, r.oscr, r.tnr, r.far]
         lines.append(",".join([r.variant] + [str(f) for f in flags]
                               + [repr(float(v)) for v in vals]))

@@ -2,12 +2,13 @@
 
 Pretraining aligns beat-segment and report projections with the symmetric
 contrastive objective over shuffled mini-batches. Fine-tuning freezes the
-report branch and the contrastive heads, recomputes each class's medoid
-center at the start of every epoch with the current encoder, and jointly
-updates the encoder weights and the class prototypes under the weighted
-self-constraint and prototype objective. Each stage takes its own config
-(``PretrainConfig``, ``FinetuneConfig``) and the run seed, updates by Adam,
-and is bit-reproducible for a fixed seed.
+report branch and the contrastive heads, starts one prototype per class at
+the medoid of its embeddings, and jointly updates the encoder weights and
+the prototypes under the weighted prototype loss. The paper's second term,
+a self-constraint pull toward per-epoch medoid centers, was removed: on the
+train-hard tier it moved no open-set metric beyond the seed spread. Each
+stage takes its own config (``PretrainConfig``, ``FinetuneConfig``) and the
+run seed, updates by Adam, and is bit-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -26,12 +27,7 @@ from .encoder import (
     init_params,
 )
 from .errors import ConfigurationError, InputError, ParameterError, StateError
-from .losses import (
-    center_loss_grad,
-    compute_medoid,
-    contrastive_loss_grad,
-    prototype_loss_grad,
-)
+from .losses import compute_medoid, contrastive_loss_grad, prototype_loss_grad
 
 #: Parameter-name prefixes updated by fine-tuning (the embedding path only).
 _SIGNAL_PREFIXES = ("stem.", "block", "embed.")
@@ -71,19 +67,21 @@ class PretrainConfig:
 
 @dataclass(frozen=True)
 class FinetuneConfig:
-    """Fine-tuning: Adam on alpha * self-constraint + beta * prototype.
-    A zero weight switches its term off."""
+    """Fine-tuning: Adam on beta * prototype loss.
+
+    beta = 0 leaves no objective: the weights and prototypes stay put and
+    only the BatchNorm running statistics move.
+    """
 
     batch_size: int = 32
     epochs: int = 30
     learning_rate: float = 5e-4
-    alpha: float = 0.1
     beta: float = 1.0
 
     def __post_init__(self):
         _check_schedule(self, min_batch=1)
-        if self.alpha < 0 or self.beta < 0:
-            raise ParameterError("loss weights must be non-negative")
+        if self.beta < 0:
+            raise ParameterError("loss weight beta must be non-negative")
 
 
 @dataclass
@@ -234,13 +232,12 @@ def _class_medoids(mp: ModelParams, windows, class_idx, n_classes) -> np.ndarray
 def finetune(labeled, params: ModelParams, cfg: FinetuneConfig, seed: int):
     """Train encoder weights and one prototype per identity on labeled segments.
 
-    Implements the joint loop: prototypes start at the class medoids; at the
-    start of each epoch, class centers are reset to the medoids of the
-    current embeddings; each mini-batch then applies the weighted
-    self-constraint and prototype losses and updates the signal-branch
-    weights together with the prototypes. Loss terms with zero weight are
-    skipped outright. Returns (ModelParams, sorted class ids, prototypes as
-    an (n_ids, embed_dim) matrix in id order, TrainReport).
+    Prototypes start at the class medoids of the initial embeddings (the
+    one medoid pass); each mini-batch then applies the weighted prototype
+    loss and updates the signal-branch weights together with the
+    prototypes. With beta = 0 the loss is skipped outright. Returns
+    (ModelParams, sorted class ids, prototypes as an (n_ids, embed_dim)
+    matrix in id order, TrainReport).
     """
     windows, class_ids, class_idx = _group_by_class(labeled)
     n, n_classes = windows.shape[0], len(class_ids)
@@ -249,10 +246,9 @@ def finetune(labeled, params: ModelParams, cfg: FinetuneConfig, seed: int):
     model = build_model(mp)
     rng = np.random.default_rng(seed)
 
-    centers = _class_medoids(mp, windows, class_idx, n_classes)
-    protos = centers.copy()
+    protos = _class_medoids(mp, windows, class_idx, n_classes)
     # discarded; without it every epoch shuffle, and so every artifact, changes
-    rng.normal(0.0, 0.1, size=centers.shape)
+    rng.normal(0.0, 0.1, size=protos.shape)
 
     trainable = [k for k in mp.params if k.startswith(_SIGNAL_PREFIXES)]
     opt = _Adam(cfg.learning_rate)
@@ -260,10 +256,8 @@ def finetune(labeled, params: ModelParams, cfg: FinetuneConfig, seed: int):
 
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
-        if epoch > 0:  # epoch 0 runs on the weights the centers above came from
-            centers = _class_medoids(mp, windows, class_idx, n_classes)
         perm = rng.permutation(n)
-        sums = {"self": 0.0, "proto": 0.0, "total": 0.0}
+        sums = {"proto": 0.0, "total": 0.0}
         seen = 0
         for start in range(0, n, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
@@ -271,10 +265,7 @@ def finetune(labeled, params: ModelParams, cfg: FinetuneConfig, seed: int):
             feats, tape = model.forward_signal(mp, windows[idx], train=True)
             d_feats = np.zeros_like(feats)
             geom_grads: dict[str, np.ndarray] = {}
-            l_self = l_proto = 0.0
-            if cfg.alpha > 0:
-                l_self, dfc = center_loss_grad(feats, centers[yb])
-                d_feats += cfg.alpha * dfc
+            l_proto = 0.0
             if cfg.beta > 0:
                 l_proto, dfp, dp = prototype_loss_grad(feats, yb, protos)
                 d_feats += cfg.beta * dfp
@@ -285,10 +276,8 @@ def finetune(labeled, params: ModelParams, cfg: FinetuneConfig, seed: int):
             tensors["geom.protos"] = protos
             grads.update(geom_grads)
             opt.step(tensors, grads)
-            batch_total = cfg.alpha * l_self + cfg.beta * l_proto
-            sums["self"] += l_self * idx.size
             sums["proto"] += l_proto * idx.size
-            sums["total"] += batch_total * idx.size
+            sums["total"] += cfg.beta * l_proto * idx.size
             seen += idx.size
         losses = {k: v / seen for k, v in sums.items()}
         _check_epoch_losses(losses, "finetune")

@@ -60,7 +60,7 @@ def labeled():
 def registry(labeled):
     params = init_params(SMALL_ENC, 2 * HALF, seed=21)
     cfg = FinetuneConfig(batch_size=8, epochs=2, learning_rate=5e-4)
-    return enroll(labeled, params, cfg, 21)
+    return enroll(labeled, params, cfg, 21, 250.0)
 
 
 # ----------------------------------------------------------------------
@@ -69,7 +69,7 @@ def registry(labeled):
 def test_enroll_is_deterministic(labeled, registry):
     params = init_params(SMALL_ENC, 2 * HALF, seed=21)
     cfg = FinetuneConfig(batch_size=8, epochs=2, learning_rate=5e-4)
-    again = enroll(labeled, params, cfg, 21)
+    again = enroll(labeled, params, cfg, 21, 250.0)
     assert again.digest() == registry.digest()
     assert again.ids == [1, 2, 3]
     assert 0.0 < again.threshold < 1.0
@@ -135,6 +135,9 @@ def test_registry_validation(registry):
         variant(prototypes=bad)
     with pytest.raises(ParameterError):
         variant(threshold=1.0)
+    for fs in (0.0, -250.0, float("nan"), float("inf")):
+        with pytest.raises(ParameterError):
+            variant(fs=fs)
 
 
 # ----------------------------------------------------------------------
@@ -200,6 +203,7 @@ def test_registry_round_trip(tmp_path, registry, labeled):
     assert back.digest() == registry.digest()
     assert back.threshold == registry.threshold
     assert back.ids == registry.ids
+    assert back.fs == registry.fs == 250.0
     seg = labeled[0][0]
     a, b = authenticate(registry, seg), authenticate(back, seg)
     assert (a.accepted, a.predicted_id, a.max_prob) == (
@@ -236,14 +240,14 @@ def test_registry_holds_only_what_authentication_reads(tmp_path, registry):
     _, extras, metadata = load_container(path, "registry")
     assert set(extras) == {"registry.prototypes"}
     assert extras["registry.prototypes"].tobytes() == registry.prototypes.tobytes()
-    assert set(metadata) == {"ids", "threshold", "creation"}
+    assert set(metadata) == {"ids", "threshold", "fs", "creation"}
 
 
 def test_registry_missing_geometry_tensor(tmp_path, registry):
     path = tmp_path / "bad.reg"
     save_container(path, "registry", registry.params, {},
                    {"ids": registry.ids, "threshold": registry.threshold,
-                    "creation": registry.metadata})
+                    "fs": registry.fs, "creation": registry.metadata})
     with pytest.raises(CheckpointFormatError,
                        match=r"missing=\['registry.prototypes'\]"):
         load_registry(path)

@@ -268,7 +268,7 @@ def test_default_config_dict_is_the_plain_run_config():
     assert list(tree["pretrain"]) == [
         "batch_size", "epochs", "learning_rate", "tau"]
     assert list(tree["finetune"]) == [
-        "batch_size", "epochs", "learning_rate", "alpha", "beta"]
+        "batch_size", "epochs", "learning_rate", "beta"]
 
 
 def test_config_sections_match_dataclass_fields():
@@ -318,7 +318,8 @@ def test_bad_optimizer_and_shape_values_are_config_errors(tmp_path, section,
 _REMOVED_KEYS = [(section, key) for key in ("optimizer", "momentum", "beta1",
                                              "beta2", "eps")
                  for section in ("pretrain", "finetune")]
-_REMOVED_KEYS.append(("finetune", "gamma"))  # the reciprocal-point repulsion weight
+_REMOVED_KEYS += [("finetune", "gamma"),  # the reciprocal-point repulsion weight
+                  ("finetune", "alpha")]  # the self-constraint center weight
 
 
 @pytest.mark.parametrize("section,key", _REMOVED_KEYS,
@@ -455,7 +456,7 @@ def test_invalid_registry_tensors_exit_code(workspace, tmp_path, capsys, damage)
                        "registry.margins": np.ones(len(protos))})
     save_container(target / "registry.reg", "registry", good.params, extras,
                    {"ids": good.ids, "threshold": good.threshold,
-                    "creation": good.metadata})
+                    "fs": good.fs, "creation": good.metadata})
     record = out / "corpus" / "id_0001.ecg"
     assert main(["auth", "--config", str(cfg_path), "--out", str(target),
                  str(record)]) == 5
@@ -464,6 +465,44 @@ def test_invalid_registry_tensors_exit_code(workspace, tmp_path, capsys, damage)
     if damage == "reciprocal-layout":
         assert ("surplus=['registry.centers', 'registry.margins', "
                 "'registry.reciprocals']") in err
+
+
+@pytest.mark.parametrize("fs", [None, float("nan"), float("inf"), 0.0, -250.0],
+                         ids=["missing", "nan", "infinite", "zero", "negative"])
+def test_invalid_registry_sampling_rate_exit_code(workspace, tmp_path, capsys,
+                                                  fs):
+    """A registry must say, as a positive finite number, which sampling rate
+    its encoder was trained at."""
+    cfg_path, out = workspace
+    target = tmp_path / "badfs"
+    target.mkdir()
+    good = load_registry(out / "registry.reg")
+    metadata = {"ids": good.ids, "threshold": good.threshold,
+                "creation": good.metadata}
+    if fs is not None:
+        metadata["fs"] = fs
+    save_container(target / "registry.reg", "registry", good.params,
+                   {"registry.prototypes": good.prototypes}, metadata)
+    record = out / "corpus" / "id_0001.ecg"
+    assert main(["auth", "--config", str(cfg_path), "--out", str(target),
+                 str(record)]) == 5
+    err = capsys.readouterr().err
+    assert "registry.reg" in err and "Traceback" not in err
+
+
+def test_record_at_another_sampling_rate_exit_code(workspace, tmp_path, capsys):
+    """A record sampled at another rate than the registry was trained at
+    would be cut into windows of another duration: rejected, not scored."""
+    cfg_path, out = workspace
+    assert load_registry(out / "registry.reg").fs == 250.0
+    record = tmp_path / "fast.ecg"
+    morph = IdentityMorphology.random(np.random.default_rng(3))
+    write_record(synth_ecg(morph, n_beats=30, fs=500.0, seed=1, subject_id=1),
+                 record)
+    assert main(["auth", "--config", str(cfg_path), str(record)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "500.0 Hz" in captured.err and "250.0 Hz" in captured.err
 
 
 @pytest.mark.parametrize("change", [

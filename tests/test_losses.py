@@ -286,9 +286,8 @@ def test_loss_weights_validation():
     """The loss weights live on the stage configs that use them."""
     with pytest.raises(ParameterError):
         PretrainConfig(tau=0.0)
-    for weight in ("alpha", "beta"):
-        with pytest.raises(ParameterError):
-            FinetuneConfig(**{weight: -0.1})
-    FinetuneConfig(alpha=0.0, beta=0.0)  # bounds are valid
+    with pytest.raises(ParameterError):
+        FinetuneConfig(beta=-0.1)
+    FinetuneConfig(beta=0.0)  # the bound is valid
     ft, pt = FinetuneConfig(), PretrainConfig()
-    assert (ft.alpha, ft.beta, pt.tau) == (0.1, 1.0, 0.07)
+    assert (ft.beta, pt.tau) == (1.0, 0.07)

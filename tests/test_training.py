@@ -1,4 +1,4 @@
-"""Training loops: reproducibility, loss descent, prototype and center rules."""
+"""Training loops: reproducibility, loss descent, prototype rules."""
 
 import numpy as np
 import pytest
@@ -53,7 +53,7 @@ def test_train_config_validation():
                 stage(**bad)
         stage(batch_size=min_batch, epochs=0)  # bounds are valid
     assert PretrainConfig() == PretrainConfig(32, 20, 1e-3, 0.07)
-    assert FinetuneConfig() == FinetuneConfig(32, 30, 5e-4, 0.1, 1.0)
+    assert FinetuneConfig() == FinetuneConfig(32, 30, 5e-4, 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -112,13 +112,12 @@ def _init_mp(labeled, seed=3):
 
 
 def test_finetune_total_is_weighted_sum_of_parts(labeled):
-    cfg = FinetuneConfig(batch_size=8, epochs=2, alpha=0.3, beta=0.7)
+    cfg = FinetuneConfig(batch_size=8, epochs=2, beta=0.7)
     _, _, _, report = finetune(labeled, _init_mp(labeled), cfg, 16)
     for epoch in report.epochs:
         parts = epoch.losses
-        assert set(parts) == {"self", "proto", "total"}
-        weighted = 0.3 * parts["self"] + 0.7 * parts["proto"]
-        assert parts["total"] == pytest.approx(weighted, rel=1e-12)
+        assert set(parts) == {"proto", "total"}
+        assert parts["total"] == pytest.approx(0.7 * parts["proto"], rel=1e-12)
 
 
 def test_finetune_reduces_total_loss(labeled):
@@ -151,11 +150,19 @@ def test_finetune_only_updates_signal_branch(labeled):
     assert all(np.array_equal(before[k], mp.params[k]) for k in before)
 
 
-def test_finetune_zero_alpha_and_beta_still_run(labeled):
-    cfg = FinetuneConfig(batch_size=8, epochs=1, alpha=0.0, beta=0.0)
-    _, ids, _, report = finetune(labeled, _init_mp(labeled), cfg, 12)
-    assert report.epochs[0].losses == {"self": 0.0, "proto": 0.0, "total": 0.0}
+def test_finetune_zero_beta_still_runs(labeled):
+    """With no objective the weights and the medoid prototypes stay put;
+    only the BatchNorm running statistics move."""
+    mp = _init_mp(labeled)
+    cfg = FinetuneConfig(batch_size=8, epochs=1, beta=0.0)
+    tuned, ids, protos, report = finetune(labeled, mp, cfg, 12)
+    _, _, medoids, _ = finetune(labeled, mp, FinetuneConfig(epochs=0), 12)
+    assert report.epochs[0].losses == {"proto": 0.0, "total": 0.0}
     assert ids == [1, 2, 3]
+    assert protos.tobytes() == medoids.tobytes()
+    assert all(np.array_equal(tuned.params[k], mp.params[k]) for k in mp.params)
+    assert any(not np.array_equal(tuned.buffers[k], mp.buffers[k])
+               for k in mp.buffers)
 
 
 def test_finetune_rejects_thin_classes(labeled):
@@ -182,9 +189,9 @@ def test_finetune_zero_epochs_starts_geometry_at_medoids(labeled):
 @pytest.mark.parametrize("epochs", [0, 1, 3])
 def test_finetune_refreshes_medoids_once_per_distinct_weights(labeled, epochs,
                                                               monkeypatch):
-    """One refresh per epoch, on the weights that epoch starts from; epoch 0
-    reuses the refresh before training, which also seeds the prototypes.
-    Nothing refreshes after the last epoch: no output reads the centers."""
+    """Exactly one medoid pass per call, whatever the epoch count: on the
+    initial weights, to seed the prototypes. No loss reads per-epoch
+    centers, so no epoch refreshes them."""
     calls = []
     original = training._class_medoids
 
@@ -196,6 +203,4 @@ def test_finetune_refreshes_medoids_once_per_distinct_weights(labeled, epochs,
     cfg = FinetuneConfig(batch_size=8, epochs=epochs)
     mp = _init_mp(labeled)
     finetune(labeled, mp, cfg, 18)
-    assert len(calls) == max(epochs, 1)
-    assert len(set(calls)) == len(calls)  # never twice on the same weights
-    assert calls[0] == mp.checksum()
+    assert calls == [mp.checksum()]
