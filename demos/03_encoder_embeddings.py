@@ -6,12 +6,14 @@ The signal branch is a small residual 1-D conv net producing an
 embedding per beat window; the report branch hashes tokens into a fixed
 bag-of-words vector and maps it with a trainable linear layer. Each
 branch also has a projection head onto the unit sphere, where the
-contrastive loss compares the two modalities. Identity geometry lives in
-the raw (unnormalized) embedding space.
+contrastive loss compares the two modalities. The report branch and both
+heads serve pretraining only: fine-tuning and authentication use the
+signal encoder alone, and identity geometry lives in its raw
+(unnormalized) embedding space.
 
 This demo only exercises structure: deterministic initialization, batch
-encoding, projection heads, and the checkpoint container (magic bytes,
-JSON header, float64 tensors, SHA-256 tail).
+encoding, and the checkpoint container (magic bytes, JSON header, float64
+tensors, SHA-256 tail).
 """
 
 import tempfile
@@ -22,11 +24,9 @@ import numpy as np
 from ecgauth import (
     EncoderConfig,
     IdentityMorphology,
-    encode_report,
     encode_signal_batch,
     init_params,
     load_checkpoint,
-    project,
     save_checkpoint,
     segment_beats,
     synth_ecg,
@@ -62,14 +62,6 @@ within = float((unit_a @ unit_a.T).mean())
 between = float((unit_a @ unit_b.T).mean())
 print(f"untrained cosine similarity: within {within:.3f} vs between "
       f"{between:.3f} (see the training demo for the trained contrast)")
-
-# both modalities project into the same contrastive space
-sig_proj = project(params, emb_a, head="signal")
-rep_proj = project(
-    params, encode_report(params, "qrs width is 0.080 seconds"), head="report"
-)
-print(f"projections: signal {sig_proj.shape}, report {rep_proj.shape}, "
-      f"both unit norm")
 
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "encoder.ckpt"

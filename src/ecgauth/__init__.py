@@ -27,7 +27,6 @@ from .encoder import (
     EncoderConfig,
     ModelParams,
     build_model,
-    encode_report,
     encode_signal,
     encode_signal_batch,
     hash_report,
@@ -35,7 +34,6 @@ from .encoder import (
     init_params,
     load_checkpoint,
     load_container,
-    project,
     save_checkpoint,
     save_container,
     tokenize_report,

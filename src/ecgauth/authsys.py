@@ -1,12 +1,13 @@
 """Identity registry: enrollment, thresholded authentication, persistence.
 
-A registry holds exactly what authentication reads: the fine-tuned encoder,
-the sorted enrolled ids, one prototype per id, an operating threshold, and
-the sampling rate its beats were recorded at. Authentication embeds a beat
-segment, scores it with the distance softmax over the enrolled prototypes,
-and accepts the argmax identity iff the winning probability clears the
-threshold. Registries persist in the same container format as encoder
-checkpoints, with the prototype matrix as the one extra tensor and the ids,
+A registry holds exactly what authentication reads: the fine-tuned signal
+encoder (no pretraining heads), the sorted enrolled ids, one prototype per
+id, an operating threshold, and the sampling rate its beats were recorded
+at. Authentication embeds a beat segment, scores it with the distance
+softmax over the enrolled prototypes, and accepts the argmax identity iff
+the winning probability clears the threshold. Registries persist in the
+same container format as encoder checkpoints, with the signal encoder's
+tensors, the prototype matrix as the one extra tensor, and the ids,
 threshold and sampling rate in metadata.
 """
 
@@ -21,7 +22,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoder import ModelParams, encode_signal_batch, load_container, save_container
+from .encoder import (
+    ModelParams,
+    build_model,
+    encode_signal_batch,
+    load_container,
+    save_container,
+    tensor_mismatch,
+)
 from .errors import CheckpointFormatError, InputError, ParameterError, ShapeError
 from .losses import prototype_prob
 from .training import FinetuneConfig, finetune
@@ -48,9 +56,9 @@ class Decision:
 
 @dataclass
 class Registry:
-    """Enrolled identities: encoder weights, sorted ids, their prototypes
-    (row k belongs to ids[k]), the acceptance threshold, and the sampling
-    rate ``fs`` (Hz) of the records the encoder was trained on."""
+    """Enrolled identities: the signal encoder's weights, sorted ids, their
+    prototypes (row k belongs to ids[k]), the acceptance threshold, and the
+    sampling rate ``fs`` (Hz) of the records the encoder was trained on."""
 
     params: ModelParams
     ids: list[int]
@@ -64,6 +72,11 @@ class Registry:
         self.prototypes = np.asarray(self.prototypes, dtype=np.float64)
         self.threshold = float(self.threshold)
         self.fs = float(self.fs)
+        problem = tensor_mismatch(self.params, build_model(self.params).signal_shapes())
+        if problem:
+            raise ShapeError(
+                f"registry params must be exactly the signal encoder's tensors "
+                f"({problem}); re-run `ecgauth finetune` to rebuild the registry")
         if not self.ids:
             raise InputError("registry needs at least one enrolled identity")
         if self.ids != sorted(set(self.ids)):
@@ -81,8 +94,8 @@ class Registry:
                                  f"got {self.fs}")
 
     def digest(self) -> str:
-        """SHA-256 over encoder tensors, ids, prototypes, threshold, sampling
-        rate, and metadata."""
+        """SHA-256 over signal-encoder tensors, ids, prototypes, threshold,
+        sampling rate, and metadata."""
         h = hashlib.sha256()
         h.update(self.params.checksum().encode())
         h.update(json.dumps(self.ids).encode())
@@ -145,13 +158,10 @@ def authenticate(registry: Registry, segment) -> Decision:
     """Score one beat segment against the enrolled prototypes.
 
     Accepts the argmax identity iff its probability is >= the registry
-    threshold. Pure in (registry, segment).
+    threshold. Pure in (registry, segment): the one-segment case of
+    ``authenticate_batch``.
     """
-    window = segment.window if hasattr(segment, "window") else np.asarray(segment)
-    prob, pred = score_batch(registry, window[None, :])
-    prob, pred = float(prob[0]), int(pred[0])
-    return Decision(accepted=prob >= registry.threshold,
-                    predicted_id=pred, max_prob=prob)
+    return authenticate_batch(registry, [segment])[0]
 
 
 def authenticate_batch(registry: Registry, segments) -> list[Decision]:
@@ -207,9 +217,10 @@ def save_registry(registry: Registry, path) -> None:
 def load_registry(path) -> Registry:
     """Read a registry container back, bit-exact, with distinct failure modes.
 
-    The container must hold exactly one extra tensor, a finite
-    (len(ids), embed_dim) prototype matrix, and a positive finite sampling
-    rate ``fs``; anything else is a CheckpointFormatError.
+    The container must hold exactly the signal encoder's tensors, one extra
+    tensor, a finite (len(ids), embed_dim) prototype matrix, and a positive
+    finite sampling rate ``fs``; anything else is a CheckpointFormatError.
+    A registry written with the pretraining heads names them as surplus.
     """
     mp, extras, metadata = load_container(path, "registry")
     if set(extras) != {_PROTOTYPES}:

@@ -8,8 +8,9 @@ variable (debug/info/warning/error; default warning).
 
 Artifacts under the output directory:
   corpus/            per-identity record files + manifest.json   (synth)
-  pretrain.ckpt      pretrained dual-encoder checkpoint          (pretrain)
-  registry.reg       fine-tuned weights, prototypes, threshold, fs (finetune)
+  pretrain.ckpt      signal encoder plus pretraining heads        (pretrain)
+  registry.reg       fine-tuned signal encoder alone, prototypes,
+                     threshold, fs                                (finetune)
   eval/metrics.csv   one open-set curve block per ratio          (eval)
   eval/embeddings.csv, eval/summary.json                         (eval)
   eval/open_identities.json  per open identity: beats accepted, and as whom (eval)
@@ -21,7 +22,8 @@ Exit codes:
   2  invalid configuration or command line
   3  missing upstream artifact (run the producing command first)
   4  invalid input data (unreadable record or corpus manifest, malformed values,
-     a record sampled at another rate than the registry was trained at)
+     a record or corpus sampled at another rate than the registry was
+     trained at)
   5  corrupt or incompatible checkpoint/registry file
   6  internal state error
 """

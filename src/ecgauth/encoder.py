@@ -1,16 +1,21 @@
 """Dual-branch encoder: residual 1-D conv net for beats, hashed linear map for reports.
 
-The signal branch is an initial stride-2 convolution followed by ``n_blocks``
-residual blocks (each downsampling by 2), global average pooling, and a linear
-embedding layer. The report branch hashes the text into a fixed 512-bin
-bag-of-tokens vector and applies a trainable linear map to the embedding
-width. Both branches have a projection head (linear-ReLU-linear, then L2
-normalization) used for contrastive alignment.
+The signal encoder is an initial stride-2 convolution followed by
+``n_blocks`` residual blocks (each downsampling by 2), global average
+pooling, and a linear embedding layer. Authentication embeds beats with it
+alone. The pretraining heads exist only for contrastive alignment: a
+projection head on the signal embedding, and the report branch, which
+hashes the text into a fixed 512-bin bag-of-tokens vector, maps it to the
+embedding width and projects it. Both projection heads are
+linear-ReLU-linear, then L2 normalization. The layer graph
+(``DualEncoder.signal_chain``) is the one place that names the signal
+encoder's tensors.
 
 Checkpoints are a single-file container: an 8-byte magic, a JSON header
 (format version, encoder configuration, tensor manifest), the tensors as
 little-endian float64 in manifest order, and a SHA-256 digest of everything
-before it. Registries reuse the container with one extra tensor (the
+before it. A checkpoint holds the whole graph. Registries reuse the
+container with the signal encoder's tensors only, one extra tensor (the
 prototype matrix) and a metadata section.
 """
 
@@ -70,11 +75,13 @@ class EncoderConfig:
 
 @dataclass
 class ModelParams:
-    """All tensors of the dual encoder plus the configuration that shaped them.
+    """Encoder tensors plus the configuration that shaped them.
 
-    ``params`` holds the trainable tensors (signal branch, report linear map,
-    both projection heads) keyed by dotted layer name; ``buffers`` holds the
-    non-trainable batch-norm running statistics.
+    ``params`` holds the trainable tensors keyed by dotted layer name;
+    ``buffers`` holds the non-trainable batch-norm running statistics.
+    Initialization and pretraining carry the whole graph (signal encoder and
+    pretraining heads); fine-tuning and registries carry the signal encoder
+    alone (``signal_encoder``).
     """
 
     config: EncoderConfig
@@ -86,12 +93,16 @@ class ModelParams:
     def parameter_count(self) -> int:
         return int(sum(v.size for v in self.params.values()))
 
-    def copy(self) -> "ModelParams":
+    def signal_encoder(self) -> "ModelParams":
+        """An independent copy of the signal encoder's tensors alone, as the
+        layer graph names them: what fine-tuning trains and a registry
+        stores."""
+        names = _layer_graph(self.config, self.input_length).signal_shapes()
         return ModelParams(
             config=self.config,
             input_length=self.input_length,
-            params={k: v.copy() for k, v in self.params.items()},
-            buffers={k: v.copy() for k, v in self.buffers.items()},
+            params={k: v.copy() for k, v in self.params.items() if k in names},
+            buffers={k: v.copy() for k, v in self.buffers.items() if k in names},
         )
 
     def checksum(self) -> str:
@@ -107,10 +118,13 @@ class ModelParams:
 class DualEncoder:
     """Layer graph for one (config, input_length) pair.
 
-    ``forward_signal``/``forward_report`` return their output together with
-    a tape of the intermediate activations needed for reverse-mode
-    differentiation; the matching ``backward_*`` call takes that tape and
-    returns per-tensor gradients. The model itself holds no per-call state.
+    ``signal_chain`` is the signal encoder; ``signal_proj`` and
+    ``report_chain`` (report linear map plus its projection head) are the
+    pretraining heads. ``forward_signal``/``forward_report`` return their
+    output together with a tape of the intermediate activations needed for
+    reverse-mode differentiation; the matching ``backward_*`` call takes
+    that tape and returns per-tensor gradients. The model itself holds no
+    per-call state.
     """
 
     def __init__(self, config: EncoderConfig, input_length: int):
@@ -139,8 +153,8 @@ class DualEncoder:
             nn.Linear("proj_s.fc1", d, d), nn.ReLU(),
             nn.Linear("proj_s.fc2", d, p), nn.L2Normalize(),
         ])
-        self.report_linear = nn.Chain([nn.Linear("f_r.linear", REPORT_HASH_DIM, d)])
-        self.report_proj = nn.Chain([
+        self.report_chain = nn.Chain([
+            nn.Linear("f_r.linear", REPORT_HASH_DIM, d),
             nn.Linear("proj_r.fc1", d, d), nn.ReLU(),
             nn.Linear("proj_r.fc2", d, p), nn.L2Normalize(),
         ])
@@ -155,7 +169,7 @@ class DualEncoder:
         order; biases start at zero, batch-norm at identity, running
         statistics at mean 0 / variance 1. Bit-reproducible per seed.
         """
-        params, buffers = self._init_tensors(np.random.default_rng(seed))
+        params, buffers = _init_tensors(self._chains(), np.random.default_rng(seed))
         return ModelParams(
             config=self.config,
             input_length=self.input_length,
@@ -164,17 +178,18 @@ class DualEncoder:
         )
 
     def tensor_shapes(self) -> dict[str, tuple[int, ...]]:
-        """The shape of every parameter and buffer; draws no random numbers."""
-        params, buffers = self._init_tensors(_NoDraws())
-        return {k: v.shape for k, v in {**params, **buffers}.items()}
+        """The shape of every parameter and buffer of the whole graph (a
+        checkpoint's tensors); draws no random numbers."""
+        return _shapes(self._chains())
 
-    def _init_tensors(self, rng):
-        params: dict[str, np.ndarray] = {}
-        buffers: dict[str, np.ndarray] = {}
-        for chain in (self.signal_chain, self.signal_proj,
-                      self.report_linear, self.report_proj):
-            chain.init(params, buffers, rng)
-        return params, buffers
+    def signal_shapes(self) -> dict[str, tuple[int, ...]]:
+        """The shape of every signal-encoder parameter and buffer (a
+        registry's tensors); draws no random numbers."""
+        return _shapes([self.signal_chain])
+
+    def _chains(self):
+        # construction order, which is also the initialization draw order
+        return [self.signal_chain, self.signal_proj, self.report_chain]
 
     # ------------------------------------------------------------------
     # signal branch
@@ -216,29 +231,37 @@ class DualEncoder:
         return grads
 
     # ------------------------------------------------------------------
-    # report branch
+    # report branch (pretraining only)
 
-    def forward_report(self, mp: ModelParams, hashed: np.ndarray, train: bool = True,
-                       project: bool = False):
-        """Embed (and optionally project) hashed report vectors -> (output, tape)."""
+    def forward_report(self, mp: ModelParams, hashed: np.ndarray):
+        """Project hashed report vectors onto the unit sphere, in training
+        mode -> (output, tape)."""
         hashed = np.asarray(hashed, dtype=np.float64)
         if hashed.ndim != 2 or hashed.shape[1] != REPORT_HASH_DIM:
             raise ShapeError(f"hashed reports must be (batch, {REPORT_HASH_DIM})")
-        h, tape = self.report_linear.forward(mp.params, mp.buffers, hashed, train)
-        proj_tape = None
-        if project:
-            h, proj_tape = self.report_proj.forward(mp.params, mp.buffers, h, train)
-        return h, (tape, proj_tape)
+        return self.report_chain.forward(mp.params, mp.buffers, hashed, True)
 
     def backward_report(self, mp: ModelParams, d_out: np.ndarray,
                         tape) -> dict[str, np.ndarray]:
-        chain_tape, proj_tape = tape
+        """Gradients of a scalar loss w.r.t. report-branch tensors, given the
+        loss gradient at the projected output."""
         grads: dict[str, np.ndarray] = {}
-        d = np.asarray(d_out, dtype=np.float64)
-        if proj_tape is not None:
-            d = self.report_proj.backward(mp.params, d, proj_tape, grads)
-        self.report_linear.backward(mp.params, d, chain_tape, grads)
+        self.report_chain.backward(mp.params, np.asarray(d_out, dtype=np.float64),
+                                   tape, grads)
         return grads
+
+
+def _init_tensors(chains, rng):
+    params: dict[str, np.ndarray] = {}
+    buffers: dict[str, np.ndarray] = {}
+    for chain in chains:
+        chain.init(params, buffers, rng)
+    return params, buffers
+
+
+def _shapes(chains) -> dict[str, tuple[int, ...]]:
+    params, buffers = _init_tensors(chains, _NoDraws())
+    return {k: v.shape for k, v in {**params, **buffers}.items()}
 
 
 class _NoDraws:
@@ -248,6 +271,19 @@ class _NoDraws:
     @staticmethod
     def uniform(low, high, size):
         return np.broadcast_to(0.0, size)
+
+
+def tensor_mismatch(mp: ModelParams, shapes: dict[str, tuple[int, ...]]) -> str:
+    """'' when ``mp`` holds exactly the named tensors at these shapes;
+    otherwise the missing, surplus and mismatched names."""
+    got = {k: v.shape for k, v in mp.params.items()}
+    got.update({k: v.shape for k, v in mp.buffers.items()})
+    if got == shapes:
+        return ""
+    missing = sorted(set(shapes) - set(got))
+    surplus = sorted(set(got) - set(shapes))
+    mismatched = sorted(k for k in set(shapes) & set(got) if shapes[k] != got[k])
+    return f"missing={missing}, surplus={surplus}, mismatched={mismatched}"
 
 
 def build_model(mp: ModelParams) -> DualEncoder:
@@ -336,31 +372,6 @@ def hash_reports(texts) -> np.ndarray:
     return np.stack([hash_report(t) for t in texts])
 
 
-def encode_report(mp: ModelParams, text: str) -> np.ndarray:
-    """Inference-mode embedding of one report text."""
-    out, _ = build_model(mp).forward_report(mp, hash_report(text)[None, :], train=False)
-    return out[0]
-
-
-def project(mp: ModelParams, embedding: np.ndarray, head: str) -> np.ndarray:
-    """Apply a projection head ('signal' or 'report') to embeddings.
-
-    Accepts a single embedding or a batch; outputs are unit-norm rows.
-    """
-    if head not in ("signal", "report"):
-        raise InputError("head must be 'signal' or 'report'")
-    e = np.asarray(embedding, dtype=np.float64)
-    single = e.ndim == 1
-    if single:
-        e = e[None, :]
-    if e.shape[1] != mp.config.embed_dim:
-        raise ShapeError(f"embedding width must be {mp.config.embed_dim}")
-    model = build_model(mp)
-    chain = model.signal_proj if head == "signal" else model.report_proj
-    out, _ = chain.forward(mp.params, mp.buffers, e, False)
-    return out[0] if single else out
-
-
 # ----------------------------------------------------------------------
 # checkpoint container
 
@@ -403,7 +414,9 @@ def save_container(path, kind: str, mp: ModelParams,
 
 
 def load_container(path, expected_kind: str):
-    """Read a container, verifying magic, version, sizes, and checksum.
+    """Read a container, verifying magic, version, sizes, checksum, and
+    that the declared architecture builds. Which tensors it must hold is
+    the caller's check (``load_checkpoint``, ``authsys.load_registry``).
 
     Returns:
         (ModelParams, extra_tensors, metadata)
@@ -447,6 +460,7 @@ def load_container(path, expected_kind: str):
                 "the encoder configuration fields")
         config = EncoderConfig(**section)
         input_length = int(header["input_length"])
+        _layer_graph(config, input_length)
     except (KeyError, TypeError, ValueError, ParameterError) as exc:
         raise CheckpointFormatError(f"{path}: invalid header structure ({exc})") from exc
 
@@ -473,28 +487,7 @@ def load_container(path, expected_kind: str):
         offset += size
 
     mp = ModelParams(config=config, input_length=input_length, params=params, buffers=buffers)
-    _validate_shapes(mp, path)
     return mp, extra, header.get("metadata", {})
-
-
-def _validate_shapes(mp: ModelParams, path):
-    """Reject containers whose tensors do not fit the declared architecture."""
-    try:
-        ref_shapes = _layer_graph(mp.config, mp.input_length).tensor_shapes()
-    except ParameterError as exc:
-        raise CheckpointFormatError(f"{path}: invalid architecture ({exc})") from exc
-    got_shapes = {k: v.shape for k, v in mp.params.items()}
-    got_shapes.update({k: v.shape for k, v in mp.buffers.items()})
-    if ref_shapes != got_shapes:
-        missing = sorted(set(ref_shapes) - set(got_shapes))
-        surplus = sorted(set(got_shapes) - set(ref_shapes))
-        mismatched = sorted(
-            k for k in set(ref_shapes) & set(got_shapes) if ref_shapes[k] != got_shapes[k]
-        )
-        raise CheckpointFormatError(
-            f"{path}: tensor manifest does not match the declared architecture "
-            f"(missing={missing}, surplus={surplus}, mismatched={mismatched})"
-        )
 
 
 def save_checkpoint(mp: ModelParams, path, metadata: dict | None = None) -> None:
@@ -503,6 +496,15 @@ def save_checkpoint(mp: ModelParams, path, metadata: dict | None = None) -> None
 
 
 def load_checkpoint(path) -> ModelParams:
-    """Read a 'checkpoint' container back into ModelParams."""
+    """Read a 'checkpoint' container back into ModelParams.
+
+    The container must hold exactly the whole graph's tensors at their
+    declared shapes; anything else is a CheckpointFormatError.
+    """
     mp, _, _ = load_container(path, "checkpoint")
+    problem = tensor_mismatch(mp, build_model(mp).tensor_shapes())
+    if problem:
+        raise CheckpointFormatError(
+            f"{path}: tensor manifest does not match the declared architecture "
+            f"({problem})")
     return mp

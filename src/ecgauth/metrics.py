@@ -95,42 +95,14 @@ def far(samples, delta: float) -> float:
     return int(_at_or_above(opens, delta)) / (n_known + opens.size)
 
 
-@dataclass(frozen=True)
-class ClosedSetMetrics:
-    accuracy: float
-    precision: float
-    recall: float
-    f1: float
-
-
-def closed_set_accuracy(samples) -> ClosedSetMetrics:
-    """Threshold-free accuracy over known samples plus macro precision/recall/F1.
-
-    Macro averages run over the classes present in the ground truth; a class
-    never predicted contributes precision 0 (the usual zero-division rule).
-    """
+def closed_set_accuracy(samples) -> float:
+    """Threshold-free fraction of known samples whose predicted id is right."""
     known = [s for s in samples if s.true_id != OPEN]
     if not known:
         raise InputError("closed-set metrics need known samples")
     truth = np.array([s.true_id for s in known])
     pred = np.array([s.predicted_id for s in known])
-    accuracy = float((truth == pred).mean())
-    precisions, recalls, f1s = [], [], []
-    for cls in np.unique(truth):
-        tp = int(((truth == cls) & (pred == cls)).sum())
-        fp = int(((truth != cls) & (pred == cls)).sum())
-        fn = int(((truth == cls) & (pred != cls)).sum())
-        p = tp / (tp + fp) if tp + fp else 0.0
-        r = tp / (tp + fn) if tp + fn else 0.0
-        precisions.append(p)
-        recalls.append(r)
-        f1s.append(2 * p * r / (p + r) if p + r else 0.0)
-    return ClosedSetMetrics(
-        accuracy=accuracy,
-        precision=float(np.mean(precisions)),
-        recall=float(np.mean(recalls)),
-        f1=float(np.mean(f1s)),
-    )
+    return float((truth == pred).mean())
 
 
 def oscr(samples) -> OpenSetCurve:

@@ -484,11 +484,15 @@ def evaluate(corpus: Corpus, cfg: RunConfig, registry: Registry,
     (id order). Each window is encoded once: the known split in one batch,
     each open identity in its own. Scores are reused across ratios and the
     exported embeddings come from the same pass, so the sweep costs one
-    encoder pass plus one sort per ratio.
+    encoder pass plus one sort per ratio. A corpus sampled at another rate
+    than the registry's ``fs`` is an InputError.
     """
     if corpus.open_set is None:
         raise StateError("evaluate needs the open identities, but the corpus "
                          "was loaded without them")
+    if corpus.fs != registry.fs:
+        raise InputError(f"corpus: sampled at {corpus.fs!r} Hz, but the "
+                         f"registry was trained at {registry.fs!r} Hz")
     ratios = tuple(ratios) if ratios is not None else cfg.open_ratios
     n_enrolled = len(corpus.enrolled)
     all_open = sorted(corpus.open_set)
@@ -532,7 +536,7 @@ def evaluate(corpus: Corpus, cfg: RunConfig, registry: Registry,
             ratio=ratio,
             open_id_count=len(ids),
             curve=curve,
-            accuracy=closed_set_accuracy(samples).accuracy,
+            accuracy=closed_set_accuracy(samples),
             tnr=tnr(samples, registry.threshold),
             far=far(samples, registry.threshold),
         ))

@@ -1,14 +1,15 @@
 """Contrastive pretraining and the identity-geometry fine-tuning loop.
 
 Pretraining aligns beat-segment and report projections with the symmetric
-contrastive objective over shuffled mini-batches. Fine-tuning freezes the
-report branch and the contrastive heads, starts one prototype per class at
-the medoid of its embeddings, and jointly updates the encoder weights and
-the prototypes under the weighted prototype loss. The paper's second term,
-a self-constraint pull toward per-epoch medoid centers, was removed: on the
-train-hard tier it moved no open-set metric beyond the seed spread. Each
-stage takes its own config (``PretrainConfig``, ``FinetuneConfig``) and the
-run seed, updates by Adam, and is bit-reproducible for a fixed seed.
+contrastive objective over shuffled mini-batches. Fine-tuning drops the
+report branch and the contrastive heads: it copies the signal encoder
+alone, starts one prototype per class at the medoid of its embeddings, and
+jointly updates every signal-encoder weight and the prototypes under the
+weighted prototype loss. The paper's second term, a self-constraint pull
+toward per-epoch medoid centers, was removed: on the train-hard tier it
+moved no open-set metric beyond the seed spread. Each stage takes its own
+config (``PretrainConfig``, ``FinetuneConfig``) and the run seed, updates
+by Adam, and is bit-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -28,9 +29,6 @@ from .encoder import (
 )
 from .errors import ConfigurationError, InputError, ParameterError, StateError
 from .losses import compute_medoid, contrastive_loss_grad, prototype_loss_grad
-
-#: Parameter-name prefixes updated by fine-tuning (the embedding path only).
-_SIGNAL_PREFIXES = ("stem.", "block", "embed.")
 
 # Adam's moment decay rates and the offset of its step denominator
 _ADAM_BETA1 = 0.9
@@ -184,8 +182,7 @@ def pretrain(pairs, cfg: PretrainConfig, seed: int,
                 continue
             zs, sig_tape = model.forward_signal(mp, windows[idx], train=True,
                                                 project=True)
-            zr, rep_tape = model.forward_report(mp, hashed[idx], train=True,
-                                                project=True)
+            zr, rep_tape = model.forward_report(mp, hashed[idx])
             loss, dzs, dzr = contrastive_loss_grad(zs, zr, cfg.tau)
             grads = model.backward_signal(mp, dzs, sig_tape)
             grads.update(model.backward_report(mp, dzr, rep_tape))
@@ -230,19 +227,20 @@ def _class_medoids(mp: ModelParams, windows, class_idx, n_classes) -> np.ndarray
 
 
 def finetune(labeled, params: ModelParams, cfg: FinetuneConfig, seed: int):
-    """Train encoder weights and one prototype per identity on labeled segments.
+    """Train the signal encoder and one prototype per identity on labeled data.
 
-    Prototypes start at the class medoids of the initial embeddings (the
-    one medoid pass); each mini-batch then applies the weighted prototype
-    loss and updates the signal-branch weights together with the
-    prototypes. With beta = 0 the loss is skipped outright. Returns
-    (ModelParams, sorted class ids, prototypes as an (n_ids, embed_dim)
-    matrix in id order, TrainReport).
+    Works on a copy of ``params``' signal encoder; the pretraining heads
+    are left behind. Prototypes start at the class medoids of the initial
+    embeddings (the one medoid pass); each mini-batch then applies the
+    weighted prototype loss and updates every signal-encoder weight
+    together with the prototypes. With beta = 0 the loss is skipped
+    outright. Returns (signal-encoder ModelParams, sorted class ids,
+    prototypes as an (n_ids, embed_dim) matrix in id order, TrainReport).
     """
     windows, class_ids, class_idx = _group_by_class(labeled)
     n, n_classes = windows.shape[0], len(class_ids)
 
-    mp = params.copy()
+    mp = params.signal_encoder()
     model = build_model(mp)
     rng = np.random.default_rng(seed)
 
@@ -250,7 +248,6 @@ def finetune(labeled, params: ModelParams, cfg: FinetuneConfig, seed: int):
     # discarded; without it every epoch shuffle, and so every artifact, changes
     rng.normal(0.0, 0.1, size=protos.shape)
 
-    trainable = [k for k in mp.params if k.startswith(_SIGNAL_PREFIXES)]
     opt = _Adam(cfg.learning_rate)
     report = TrainReport(stage="finetune")
 
@@ -272,10 +269,8 @@ def finetune(labeled, params: ModelParams, cfg: FinetuneConfig, seed: int):
                 geom_grads["geom.protos"] = cfg.beta * dp
             grads = model.backward_signal(mp, d_feats, tape)
             del tape  # free the activations before the next batch's forward pass
-            tensors = {k: mp.params[k] for k in trainable}
-            tensors["geom.protos"] = protos
             grads.update(geom_grads)
-            opt.step(tensors, grads)
+            opt.step({**mp.params, "geom.protos": protos}, grads)
             sums["proto"] += l_proto * idx.size
             sums["total"] += cfg.beta * l_proto * idx.size
             seen += idx.size

@@ -15,7 +15,7 @@ SMALL = EncoderConfig(n_blocks=1, channels=(4,), kernel_size=3, embed_dim=8, pro
 
 
 def _registry(seed):
-    mp = init_params(SMALL, 32, seed=seed)
+    mp = init_params(SMALL, 32, seed=seed).signal_encoder()
     protos = np.repeat([[0.1], [0.2]], 8, axis=1)  # ids 1 and 2
     return Registry(params=mp, ids=[1, 2], prototypes=protos, threshold=0.9,
                     fs=250.0)

@@ -19,6 +19,7 @@ from ecgauth.authsys import (
 )
 from ecgauth.encoder import (
     EncoderConfig,
+    build_model,
     init_params,
     load_container,
     save_checkpoint,
@@ -138,6 +139,9 @@ def test_registry_validation(registry):
     for fs in (0.0, -250.0, float("nan"), float("inf")):
         with pytest.raises(ParameterError):
             variant(fs=fs)
+    # the whole pretraining graph is not a registry's encoder
+    with pytest.raises(ShapeError, match=r"surplus=\['f_r\.linear\.bias'"):
+        variant(params=init_params(SMALL_ENC, 2 * HALF, seed=21))
 
 
 # ----------------------------------------------------------------------
@@ -237,7 +241,11 @@ def test_registry_detects_corruption(tmp_path, registry):
 def test_registry_holds_only_what_authentication_reads(tmp_path, registry):
     path = tmp_path / "ids.reg"
     save_registry(registry, path)
-    _, extras, metadata = load_container(path, "registry")
+    mp, extras, metadata = load_container(path, "registry")
+    # the signal encoder alone: no report branch, no projection heads
+    names = set(mp.params) | set(mp.buffers)
+    assert names == set(build_model(mp).signal_shapes())
+    assert not any(k.startswith(("f_r.", "proj_s.", "proj_r.")) for k in names)
     assert set(extras) == {"registry.prototypes"}
     assert extras["registry.prototypes"].tobytes() == registry.prototypes.tobytes()
     assert set(metadata) == {"ids", "threshold", "fs", "creation"}

@@ -20,6 +20,7 @@ from ecgauth.cli import main
 from ecgauth.encoder import (
     EncoderConfig,
     encode_signal_batch,
+    init_params,
     load_checkpoint,
     save_checkpoint,
     save_container,
@@ -436,25 +437,30 @@ def test_checkpoint_tensor_mismatch_exit_code(workspace, tmp_path):
                 "--out", str(target)) == 5
 
 
-@pytest.mark.parametrize("damage", ["narrow", "non-finite", "reciprocal-layout"])
+@pytest.mark.parametrize("damage", ["narrow", "non-finite", "reciprocal-layout",
+                                    "old-layout"])
 def test_invalid_registry_tensors_exit_code(workspace, tmp_path, capsys, damage):
     """Prototypes that cannot score the encoder's embeddings, or tensors that
-    authentication never reads, are a bad registry file, not a crash."""
+    authentication never reads, are a bad registry file, not a crash. The
+    old layout carried the pretraining heads beside the signal encoder."""
     cfg_path, out = workspace
     target = tmp_path / "badreg"
     target.mkdir()
     good = load_registry(out / "registry.reg")
     protos = good.prototypes.copy()
     extras = {"registry.prototypes": protos}
+    params = good.params
     if damage == "narrow":
         extras["registry.prototypes"] = protos[:, : protos.shape[1] // 2]
     elif damage == "non-finite":
         protos[0, 0] = np.nan
+    elif damage == "old-layout":
+        params = init_params(params.config, params.input_length, seed=0)
     else:
         extras.update({"registry.centers": protos,
                        "registry.reciprocals": np.zeros_like(protos),
                        "registry.margins": np.ones(len(protos))})
-    save_container(target / "registry.reg", "registry", good.params, extras,
+    save_container(target / "registry.reg", "registry", params, extras,
                    {"ids": good.ids, "threshold": good.threshold,
                     "fs": good.fs, "creation": good.metadata})
     record = out / "corpus" / "id_0001.ecg"
@@ -465,6 +471,11 @@ def test_invalid_registry_tensors_exit_code(workspace, tmp_path, capsys, damage)
     if damage == "reciprocal-layout":
         assert ("surplus=['registry.centers', 'registry.margins', "
                 "'registry.reciprocals']") in err
+    if damage == "old-layout":
+        surplus = re.search(r"surplus=\[([^\]]*)\]", err).group(1)
+        for name in ("f_r.linear.weight", "proj_s.fc1.weight", "proj_r.fc2.bias"):
+            assert f"'{name}'" in surplus
+        assert "ecgauth finetune" in err
 
 
 @pytest.mark.parametrize("fs", [None, float("nan"), float("inf"), 0.0, -250.0],
@@ -503,6 +514,27 @@ def test_record_at_another_sampling_rate_exit_code(workspace, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "500.0 Hz" in captured.err and "250.0 Hz" in captured.err
+
+
+def test_corpus_at_another_sampling_rate_exit_code(workspace, tmp_path, capsys):
+    """eval scores a corpus only at the rate the registry was trained at: a
+    corpus re-synthesized at 500 Hz against a 250 Hz registry is rejected."""
+    cfg_path, out = workspace
+    target = tmp_path / "fastcorpus"
+    target.mkdir()
+    shutil.copy(out / "registry.reg", target / "registry.reg")
+    doc = json.loads(cfg_path.read_text(encoding="utf-8"))
+    doc["corpus"]["fs"] = 500.0
+    doc["out_dir"] = str(target)
+    fast_cfg = tmp_path / "fast.json"
+    fast_cfg.write_text(json.dumps(doc), encoding="utf-8")
+    assert _run("synth", "--config", str(fast_cfg)) == 0
+    capsys.readouterr()
+    assert main(["eval", "--config", str(fast_cfg)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "500.0 Hz" in captured.err and "250.0 Hz" in captured.err
+    assert not (target / "eval").exists()
 
 
 @pytest.mark.parametrize("change", [

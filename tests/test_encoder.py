@@ -10,7 +10,6 @@ from ecgauth.encoder import (
     DualEncoder,
     EncoderConfig,
     build_model,
-    encode_report,
     encode_signal,
     encode_signal_batch,
     hash_report,
@@ -18,7 +17,6 @@ from ecgauth.encoder import (
     init_params,
     load_checkpoint,
     load_container,
-    project,
     save_checkpoint,
     save_container,
     tokenize_report,
@@ -51,10 +49,17 @@ def test_init_deterministic_per_seed():
 
 
 def test_params_copy_is_independent():
+    """The signal-encoder copy holds exactly the graph's signal tensors,
+    in arrays of its own."""
     mp = small_params()
-    cp = mp.copy()
+    cp = mp.signal_encoder()
+    names = build_model(mp).signal_shapes()
+    assert {**cp.params, **cp.buffers}.keys() == names.keys()
+    assert not any(k.startswith(("f_r.", "proj_")) for k in cp.params)
+    before = mp.checksum()
     cp.params["embed.weight"][0, 0] += 1.0
-    assert mp.checksum() != cp.checksum()
+    cp.buffers["stem.bn.running_mean"][0] += 1.0
+    assert mp.checksum() == before
 
 
 def test_config_validation():
@@ -160,14 +165,13 @@ def test_conv_columns_are_contiguous_shifted_taps(kernel, stride):
 
 def test_projection_is_unit_norm():
     mp = small_params(5)
+    model = build_model(mp)
     rng = np.random.default_rng(2)
-    emb = encode_signal_batch(mp, rng.normal(size=(4, LEN)))
-    z = project(mp, emb, head="signal")
+    z, _ = model.forward_signal(mp, rng.normal(size=(4, LEN)), train=True,
+                                project=True)
     assert np.allclose(np.linalg.norm(z, axis=1), 1.0, atol=1e-12)
-    zr = project(mp, encode_report(mp, "qrs width 0.08"), head="report")
-    assert np.linalg.norm(zr) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(InputError):
-        project(mp, emb, head="bogus")
+    zr, _ = model.forward_report(mp, hash_reports(["qrs width 0.08", "sdnn"]))
+    assert np.allclose(np.linalg.norm(zr, axis=1), 1.0, atol=1e-12)
 
 
 # ----------------------------------------------------------------------
@@ -217,10 +221,10 @@ def test_report_branch_gradients_match_finite_differences():
     probe = rng.normal(size=(3, SMALL.proj_dim))
 
     def run():
-        out, _ = model.forward_report(mp, hashed, train=True, project=True)
+        out, _ = model.forward_report(mp, hashed)
         return float((probe * out).sum())
 
-    _, tape = model.forward_report(mp, hashed, train=True, project=True)
+    _, tape = model.forward_report(mp, hashed)
     grads = model.backward_report(mp, probe, tape)
     h = 1e-5
     worst = 0.0

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from ecgauth import training
-from ecgauth.encoder import EncoderConfig, encode_signal_batch, init_params
+from ecgauth.encoder import (
+    EncoderConfig,
+    build_model,
+    encode_signal_batch,
+    init_params,
+)
 from ecgauth.errors import ConfigurationError, InputError, ParameterError
 from ecgauth.losses import compute_medoid
 from ecgauth.signals import IdentityMorphology, segment_beats, synth_ecg
@@ -138,14 +143,16 @@ def test_finetune_is_deterministic(labeled):
 
 
 def test_finetune_only_updates_signal_branch(labeled):
+    """finetune returns the signal encoder alone, and trains every weight
+    in it; the pretraining heads are left behind."""
     cfg = FinetuneConfig(batch_size=8, epochs=1)
     mp = _init_mp(labeled)
     before = {k: v.copy() for k, v in mp.params.items()}
     after, _, _, _ = finetune(labeled, mp, cfg, 7)
-    for key in before:
-        frozen = not key.startswith(("stem.", "block", "embed."))
-        unchanged = np.array_equal(before[key], after.params[key])
-        assert unchanged == frozen, key
+    names = set(after.params) | set(after.buffers)
+    assert names == set(build_model(mp).signal_shapes())
+    for key in after.params:
+        assert not np.array_equal(before[key], after.params[key]), key
     # the input is never mutated
     assert all(np.array_equal(before[k], mp.params[k]) for k in before)
 
@@ -160,9 +167,9 @@ def test_finetune_zero_beta_still_runs(labeled):
     assert report.epochs[0].losses == {"proto": 0.0, "total": 0.0}
     assert ids == [1, 2, 3]
     assert protos.tobytes() == medoids.tobytes()
-    assert all(np.array_equal(tuned.params[k], mp.params[k]) for k in mp.params)
+    assert all(np.array_equal(tuned.params[k], mp.params[k]) for k in tuned.params)
     assert any(not np.array_equal(tuned.buffers[k], mp.buffers[k])
-               for k in mp.buffers)
+               for k in tuned.buffers)
 
 
 def test_finetune_rejects_thin_classes(labeled):
@@ -178,7 +185,7 @@ def test_finetune_zero_epochs_starts_geometry_at_medoids(labeled):
     cfg = FinetuneConfig(batch_size=8, epochs=0)
     tuned, ids, protos, report = finetune(labeled, mp, cfg, 17)
     assert report.epochs == []
-    assert tuned.checksum() == mp.checksum()
+    assert tuned.checksum() == mp.signal_encoder().checksum()
     assert protos.shape == (len(ids), SMALL_ENC.embed_dim)
     for k, cid in enumerate(ids):
         windows = np.stack([seg.window for seg, sid in labeled if sid == cid])
@@ -203,4 +210,4 @@ def test_finetune_refreshes_medoids_once_per_distinct_weights(labeled, epochs,
     cfg = FinetuneConfig(batch_size=8, epochs=epochs)
     mp = _init_mp(labeled)
     finetune(labeled, mp, cfg, 18)
-    assert calls == [mp.checksum()]
+    assert calls == [mp.signal_encoder().checksum()]
