@@ -9,19 +9,22 @@ import math
 
 import numpy as np
 
-from ecgauth import compute_medoid, contrastive_loss, prototype_prob
+from ecgauth import compute_medoid, prototype_prob
+from ecgauth.losses import contrastive_loss_grad
 
 # --- contrastive closed forms ------------------------------------------
 # two identical (signal, report) pairs: every similarity is 1, each
 # direction is a uniform softmax over 2 candidates -> loss is ln 2
 same = np.array([[0.6, 0.8], [0.6, 0.8]])
-print(f"identical pairs      : {contrastive_loss(same, same):.12f} "
+loss, _, _ = contrastive_loss_grad(same, same)
+print(f"identical pairs      : {loss:.12f} "
       f"(ln 2 = {math.log(2):.12f})")
 
 # perfectly aligned orthonormal pairs: the positive dominates every
 # negative by e**(1/tau), so the loss is almost exactly zero
 eye = np.eye(2)
-print(f"orthonormal pairs    : {contrastive_loss(eye, eye, tau=0.07):.2e} "
+loss, _, _ = contrastive_loss_grad(eye, eye, tau=0.07)
+print(f"orthonormal pairs    : {loss:.2e} "
       f"(temperature 0.07)")
 
 # --- medoid centers ------------------------------------------------------

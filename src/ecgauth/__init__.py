@@ -27,7 +27,6 @@ from .encoder import (
     EncoderConfig,
     ModelParams,
     build_model,
-    encode_signal,
     encode_signal_batch,
     hash_report,
     hash_reports,
@@ -45,7 +44,6 @@ from .signals import (
     IdentityMorphology,
     detect_r_peaks,
     extract_fiducials,
-    parse_report,
     read_record,
     render_report,
     segment_beats,
@@ -54,7 +52,6 @@ from .signals import (
 )
 from .losses import (
     compute_medoid,
-    contrastive_loss,
     prototype_prob,
 )
 from .training import (
@@ -96,7 +93,6 @@ from .pipeline import (
     default_config_dict,
     load_corpus,
     run_ablations,
-    run_experiment,
     write_corpus,
 )
 

@@ -114,16 +114,11 @@ def cmd_pretrain(cfg, args) -> None:
 
 def cmd_finetune(cfg, args) -> None:
     corpus = _load_corpus(cfg, include_open=False)
-    if cfg.use_pretrain:
-        ckpt = _checkpoint_path(cfg)
-        if not ckpt.exists():
-            raise DependencyError(
-                f"missing pretrain checkpoint: {ckpt} "
-                "(run `ecgauth pretrain` first, or set use_pretrain=false)"
-            )
-        params = load_checkpoint(ckpt)
-    else:
-        params = pipeline.initial_params(cfg)
+    ckpt = _checkpoint_path(cfg)
+    if not ckpt.exists():
+        raise DependencyError(f"missing pretrain checkpoint: {ckpt} "
+                              "(run `ecgauth pretrain` first)")
+    params = load_checkpoint(ckpt)
     registry = pipeline.enroll_stage(corpus, cfg, params)
     path = _registry_path(cfg)
     save_registry(registry, path)
@@ -161,12 +156,8 @@ def cmd_eval(cfg, args) -> None:
     eval_dir = Path(cfg.out_dir) / "eval"
     eval_dir.mkdir(parents=True, exist_ok=True)
     pipeline.write_eval_csv(outcome, eval_dir / "metrics.csv")
-    write_embeddings_csv(
-        eval_dir / "embeddings.csv",
-        list(range(len(outcome.embedding_true_ids))),
-        outcome.embedding_true_ids,
-        outcome.embeddings,
-    )
+    write_embeddings_csv(eval_dir / "embeddings.csv",
+                         outcome.embedding_true_ids, outcome.embeddings)
     for name, doc in (("summary.json", pipeline.eval_summary(outcome)),
                       ("open_identities.json",
                        pipeline.open_identity_report(outcome))):

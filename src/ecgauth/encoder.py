@@ -45,6 +45,9 @@ from .errors import (
 #: Dimension of the hashed bag-of-tokens report vector.
 REPORT_HASH_DIM = 512
 
+#: (parameter shapes, buffer shapes), each keyed by dotted tensor name.
+TensorShapes = tuple[dict[str, tuple[int, ...]], dict[str, tuple[int, ...]]]
+
 _MAGIC = b"ECGAUTH1"
 _FORMAT_VERSION = 1
 
@@ -97,12 +100,12 @@ class ModelParams:
         """An independent copy of the signal encoder's tensors alone, as the
         layer graph names them: what fine-tuning trains and a registry
         stores."""
-        names = _layer_graph(self.config, self.input_length).signal_shapes()
+        params, buffers = _layer_graph(self.config, self.input_length).signal_shapes()
         return ModelParams(
             config=self.config,
             input_length=self.input_length,
-            params={k: v.copy() for k, v in self.params.items() if k in names},
-            buffers={k: v.copy() for k, v in self.buffers.items() if k in names},
+            params={k: v.copy() for k, v in self.params.items() if k in params},
+            buffers={k: v.copy() for k, v in self.buffers.items() if k in buffers},
         )
 
     def checksum(self) -> str:
@@ -177,13 +180,13 @@ class DualEncoder:
             buffers=buffers,
         )
 
-    def tensor_shapes(self) -> dict[str, tuple[int, ...]]:
-        """The shape of every parameter and buffer of the whole graph (a
+    def tensor_shapes(self) -> TensorShapes:
+        """(parameter shapes, buffer shapes) of the whole graph (a
         checkpoint's tensors); draws no random numbers."""
         return _shapes(self._chains())
 
-    def signal_shapes(self) -> dict[str, tuple[int, ...]]:
-        """The shape of every signal-encoder parameter and buffer (a
+    def signal_shapes(self) -> TensorShapes:
+        """(parameter shapes, buffer shapes) of the signal encoder (a
         registry's tensors); draws no random numbers."""
         return _shapes([self.signal_chain])
 
@@ -259,9 +262,10 @@ def _init_tensors(chains, rng):
     return params, buffers
 
 
-def _shapes(chains) -> dict[str, tuple[int, ...]]:
+def _shapes(chains) -> TensorShapes:
     params, buffers = _init_tensors(chains, _NoDraws())
-    return {k: v.shape for k, v in {**params, **buffers}.items()}
+    return ({k: v.shape for k, v in params.items()},
+            {k: v.shape for k, v in buffers.items()})
 
 
 class _NoDraws:
@@ -273,17 +277,22 @@ class _NoDraws:
         return np.broadcast_to(0.0, size)
 
 
-def tensor_mismatch(mp: ModelParams, shapes: dict[str, tuple[int, ...]]) -> str:
-    """'' when ``mp`` holds exactly the named tensors at these shapes;
-    otherwise the missing, surplus and mismatched names."""
-    got = {k: v.shape for k, v in mp.params.items()}
-    got.update({k: v.shape for k, v in mp.buffers.items()})
-    if got == shapes:
-        return ""
-    missing = sorted(set(shapes) - set(got))
-    surplus = sorted(set(got) - set(shapes))
-    mismatched = sorted(k for k in set(shapes) & set(got) if shapes[k] != got[k])
-    return f"missing={missing}, surplus={surplus}, mismatched={mismatched}"
+def tensor_mismatch(mp: ModelParams, shapes: TensorShapes) -> str:
+    """'' when ``mp`` holds exactly the named parameters and buffers, each
+    in its own group, at these shapes; otherwise each wrong group's
+    missing, surplus and mismatched names."""
+    problems = []
+    for group, tensors, want in (("params", mp.params, shapes[0]),
+                                 ("buffers", mp.buffers, shapes[1])):
+        got = {k: v.shape for k, v in tensors.items()}
+        if got == want:
+            continue
+        missing = sorted(set(want) - set(got))
+        surplus = sorted(set(got) - set(want))
+        mismatched = sorted(k for k in set(want) & set(got) if want[k] != got[k])
+        problems.append(f"{group}: missing={missing}, surplus={surplus}, "
+                        f"mismatched={mismatched}")
+    return "; ".join(problems)
 
 
 def build_model(mp: ModelParams) -> DualEncoder:
@@ -339,12 +348,6 @@ def encode_signal_batch(mp: ModelParams, x: np.ndarray) -> np.ndarray:
             h = layer.forward(mp.params, mp.buffers, h, False)[0]
         out.append(h)
     return np.concatenate(out, axis=0)
-
-
-def encode_signal(mp: ModelParams, segment) -> np.ndarray:
-    """Inference-mode embedding of one beat segment (pure per-sample map)."""
-    window = segment.window if hasattr(segment, "window") else np.asarray(segment)
-    return encode_signal_batch(mp, window[None, :])[0]
 
 
 def tokenize_report(text: str) -> list[str]:

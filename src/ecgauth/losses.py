@@ -3,8 +3,9 @@
 Two losses are trained: the symmetric cross-modal contrastive loss
 (``PretrainConfig.tau`` is its temperature) and, weighted by
 ``FinetuneConfig.beta``, a distance-softmax prototype loss whose prototypes
-start at the per-class medoids. Distances are squared Euclidean throughout
-except the medoid, which minimizes the sum of plain Euclidean distances.
+start at the per-class medoids. Features are (batch, dim) rows throughout.
+Distances are squared Euclidean except the medoid's, which minimizes the
+sum of plain Euclidean distances.
 
 ``center_loss_grad`` (the self-constraint pull toward per-class centers) and
 ``repulsion_loss_grad`` (a reciprocal-point hinge) are part of no objective:
@@ -31,23 +32,23 @@ _LOGIT_FLOOR = -700.0
 # ----------------------------------------------------------------------
 # contrastive pretraining objective
 
-def cosine_sim_matrix(zs: np.ndarray, zr: np.ndarray) -> np.ndarray:
-    """Pairwise dot products of unit rows: entry (i, j) = zs[i] . zr[j]."""
-    zs = np.asarray(zs, dtype=np.float64)
-    zr = np.asarray(zr, dtype=np.float64)
-    if zs.ndim != 2 or zr.ndim != 2 or zs.shape != zr.shape:
-        raise ShapeError("similarity needs two equal (batch, dim) arrays")
-    return zs @ zr.T
+def contrastive_loss_grad(zs, zr, tau: float = 0.07):
+    """Symmetric InfoNCE over matched (signal, report) projections, plus its
+    gradients w.r.t. both projection batches.
 
-
-def _contrastive(zs, zr, tau):
+    Each direction scores row i against all columns (the positive stays in
+    the denominator); the loss is the mean of all 2L cross-entropy terms.
+    """
     zs = np.asarray(zs, dtype=np.float64)
     zr = np.asarray(zr, dtype=np.float64)
     if not tau > 0:
         raise ParameterError("temperature tau must be positive")
     if zs.ndim != 2 or zs.shape[0] < 2:
         raise InputError("contrastive loss needs at least 2 pairs")
-    s = cosine_sim_matrix(zs, zr) / tau
+    if zr.shape != zs.shape:
+        raise ShapeError("similarity needs two equal (batch, dim) arrays")
+    # cosine similarities: the rows are unit vectors
+    s = (zs @ zr.T) / tau
     n = s.shape[0]
     # rows: signal -> report direction
     row_max = s.max(axis=1, keepdims=True)
@@ -61,25 +62,7 @@ def _contrastive(zs, zr, tau):
     loss = float(((row_lse - diag).sum() + (col_lse - diag).sum()) / (2 * n))
     p_row = row_exp / row_exp.sum(axis=1, keepdims=True)
     p_col = col_exp / col_exp.sum(axis=0, keepdims=True)
-    return loss, p_row, p_col, n
-
-
-def contrastive_loss(zs: np.ndarray, zr: np.ndarray, tau: float = 0.07) -> float:
-    """Symmetric InfoNCE over matched (signal, report) projections.
-
-    Each direction scores row i against all columns (the positive stays in
-    the denominator); the result is the mean of all 2L cross-entropy terms.
-    """
-    loss, _, _, _ = _contrastive(zs, zr, tau)
-    return loss
-
-
-def contrastive_loss_grad(zs, zr, tau: float = 0.07):
-    """Contrastive loss plus gradients w.r.t. both projection batches."""
-    loss, p_row, p_col, n = _contrastive(zs, zr, tau)
     g = (p_row + p_col - 2.0 * np.eye(n)) / (2 * n)
-    zs = np.asarray(zs, dtype=np.float64)
-    zr = np.asarray(zr, dtype=np.float64)
     return loss, (g @ zr) / tau, (g.T @ zs) / tau
 
 
@@ -92,8 +75,6 @@ def medoid_index(points: np.ndarray) -> int:
     Brute-force over all pairs; ties break to the lowest index.
     """
     pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts[:, None]
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise InputError("medoid needs a non-empty (n, dim) set")
     diff = pts[:, None, :] - pts[None, :, :]
@@ -104,9 +85,7 @@ def medoid_index(points: np.ndarray) -> int:
 def compute_medoid(points: np.ndarray) -> np.ndarray:
     """The member feature minimizing total Euclidean distance to all others."""
     pts = np.asarray(points, dtype=np.float64)
-    idx = medoid_index(pts)
-    row = pts[idx] if pts.ndim == 2 else pts[idx : idx + 1]
-    return np.array(row, dtype=np.float64)
+    return pts[medoid_index(pts)].copy()
 
 
 # ----------------------------------------------------------------------
@@ -140,17 +119,12 @@ def _softmax_neg(d2: np.ndarray) -> np.ndarray:
     return probs / probs.sum(axis=-1, keepdims=True)
 
 
-def prototype_prob(feature: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
-    """Class distribution from squared distances: softmax over -d(feature, P_k).
-
-    Accepts one feature vector (returns an M-vector) or a batch (returns a
-    batch of rows). Every entry is strictly positive and each row sums to 1.
-    """
-    f = np.asarray(feature, dtype=np.float64)
-    single = f.ndim == 1
-    d2, _ = _sq_dists(f[None, :] if single else f, prototypes)
-    out = _softmax_neg(d2)
-    return out[0] if single else out
+def prototype_prob(features: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
+    """Class distributions from squared distances: row i is the softmax over
+    -d(features[i], P_k). Every entry is strictly positive and each row
+    sums to 1."""
+    d2, _ = _sq_dists(features, prototypes)
+    return _softmax_neg(d2)
 
 
 def prototype_loss_grad(features, labels, prototypes):

@@ -150,14 +150,15 @@ def format_curve(curve: OpenSetCurve) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_embeddings_csv(path, sample_ids, true_ids, embeddings) -> None:
-    """Raw embedding matrix export: sample_id,true_id,dim_0..dim_{D-1}."""
+def write_embeddings_csv(path, true_ids, embeddings) -> None:
+    """Raw embedding matrix export: sample_id,true_id,dim_0..dim_{D-1}, where
+    sample_id is the row index."""
     emb = np.asarray(embeddings, dtype=np.float64)
-    if emb.ndim != 2 or len(sample_ids) != emb.shape[0] or len(true_ids) != emb.shape[0]:
+    if emb.ndim != 2 or len(true_ids) != emb.shape[0]:
         raise InputError("embedding export needs aligned ids and a 2-D matrix")
     header = "sample_id,true_id," + ",".join(f"dim_{j}" for j in range(emb.shape[1]))
     with atomic_open(path, encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for sid, tid, row in zip(sample_ids, true_ids, emb):
-            fh.write(f"{int(sid)},{int(tid)},"
+        for sid, (tid, row) in enumerate(zip(true_ids, emb)):
+            fh.write(f"{sid},{int(tid)},"
                      + ",".join(repr(float(v)) for v in row) + "\n")

@@ -1,10 +1,10 @@
 """End-to-end experiment engine behind the command-line interface.
 
 Everything here is deterministic in (config, seed): corpus synthesis,
-train/validation/test splits, signal--report pretraining pairs, the
-pretrain -> enroll -> evaluate pipeline, the open-set ratio sweep, and the
-ablation study. The CLI is a thin shell over these functions; tests and
-demo scripts call them directly.
+train/validation/test splits, signal--report pretraining pairs, the stages
+(``pretrain_stage``, ``enroll_stage``, ``evaluate``), the open-set ratio
+sweep, and the ablation study. The CLI is a thin shell over these
+functions; tests and demo scripts chain the same stages in memory.
 """
 
 from __future__ import annotations
@@ -114,7 +114,6 @@ class RunConfig:
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     pretrain: PretrainConfig = field(default_factory=PretrainConfig)
     finetune: FinetuneConfig = field(default_factory=FinetuneConfig)
-    use_pretrain: bool = True
     open_ratios: tuple[int, ...] = (1, 2, 3, 5, 10)
 
     def __post_init__(self):
@@ -614,38 +613,7 @@ def open_identity_report(outcome: EvalOutcome) -> dict:
 
 
 # ----------------------------------------------------------------------
-# full experiment and studies
-
-@dataclass
-class ExperimentResult:
-    """Artifacts of one full pretrain -> enroll -> evaluate run."""
-
-    corpus: Corpus
-    pretrained: ModelParams | None
-    pretrain_report: TrainReport | None
-    registry: Registry
-    outcome: EvalOutcome
-
-
-def run_experiment(cfg: RunConfig, corpus: Corpus | None = None,
-                   pretrained: ModelParams | None = None) -> ExperimentResult:
-    """Run the whole pipeline in memory; stages can be injected for reuse."""
-    if corpus is None:
-        corpus = build_corpus(cfg)
-    report = None
-    if cfg.use_pretrain:
-        if pretrained is None:
-            pretrained, report = pretrain_stage(corpus, cfg)
-        params = pretrained
-    else:
-        pretrained = None
-        params = initial_params(cfg)
-    registry = enroll_stage(corpus, cfg, params)
-    outcome = evaluate(corpus, cfg, registry)
-    return ExperimentResult(corpus=corpus, pretrained=pretrained,
-                            pretrain_report=report, registry=registry,
-                            outcome=outcome)
-
+# ablation study
 
 @dataclass
 class AblationRow:
@@ -711,8 +679,3 @@ def format_ablation_table(rows) -> str:
         lines.append(",".join([r.variant] + [str(f) for f in flags]
                               + [repr(float(v)) for v in vals]))
     return "\n".join(lines) + "\n"
-
-
-def write_ablation_csv(rows, path) -> None:
-    with atomic_open(path, encoding="utf-8") as fh:
-        fh.write(format_ablation_table(rows))

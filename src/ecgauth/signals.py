@@ -81,10 +81,6 @@ class EcgRecord:
             _validate_peaks(peaks, self.samples.size)
             self.ground_truth_peaks = peaks
 
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.fs
-
 
 @dataclass
 class IdentityMorphology:
@@ -440,53 +436,6 @@ def render_report(features: FiducialFeatures) -> str:
         qrs=f"{features.avg_qrs_width_s:.3f}",
         sdnn=f"{features.sdnn_s:.3f}",
         rmssd=f"{features.rmssd_s:.3f}",
-    )
-
-
-_REPORT_STEMS = (
-    "The R-wave Peak Positions of the ECG signal are located at: ",
-    ". RR Intervals between successive peaks are: ",
-    ". Average QRS Width is ",
-    " seconds. Standard Deviation of NN Intervals is ",
-    ". Root Mean Square of Successive Differences is ",
-    ".",
-)
-
-
-def parse_report(text: str) -> FiducialFeatures:
-    """Parse a rendered report back into features (inverse of render_report).
-
-    Truncated peak lists recover only the rendered positions. Raises
-    InputError when the text does not follow the report template.
-    """
-    rest = text
-    fields = []
-    for i, stem in enumerate(_REPORT_STEMS[:-1]):
-        head, sep, rest = rest.partition(stem)
-        if not sep or (i == 0 and head):
-            raise InputError("text does not match the report template")
-        if i > 0:
-            fields.append(head)
-    if not rest.endswith(_REPORT_STEMS[-1]):
-        raise InputError("text does not match the report template")
-    pk_text, rr_text, qrs_text, sdnn_text = fields
-    rmssd_text = rest[: -len(_REPORT_STEMS[-1])]
-    try:
-        pk_items = [s for s in pk_text.split(", ") if s] if pk_text else []
-        if pk_items and pk_items[-1] == "...":
-            pk_items.pop()
-        peaks = np.array([int(s) for s in pk_items], dtype=np.int64)
-        rr = np.array([float(s) for s in rr_text.split(", ") if s])
-        qrs, sdnn, rmssd = float(qrs_text), float(sdnn_text), float(rmssd_text)
-    except ValueError as exc:
-        raise InputError(f"malformed report value: {exc}") from exc
-    return FiducialFeatures(
-        r_peaks=peaks,
-        rr_intervals_s=rr,
-        avg_qrs_width_s=qrs,
-        sdnn_s=sdnn,
-        rmssd_s=rmssd,
-        degenerate=peaks.size < 2,
     )
 
 

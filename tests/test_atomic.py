@@ -32,7 +32,7 @@ WRITERS = {
     "registry": lambda seed, path: save_registry(_registry(seed), path),
     "record": lambda seed, path: write_record(_record(seed), path),
     "embeddings": lambda seed, path: write_embeddings_csv(
-        path, [0, 1], [1, -1], np.full((2, 3), float(seed))),
+        path, [1, -1], np.full((2, 3), float(seed))),
 }
 
 

@@ -335,6 +335,18 @@ def test_removed_stage_keys_are_unknown(tmp_path, capsys, section, key):
     assert not (tmp_path / "corpus").exists()
 
 
+def test_use_pretrain_is_an_unknown_key(tmp_path, capsys):
+    """Fine-tuning always starts from the pretrained checkpoint; the
+    no-pretraining baseline is the `no_pretrain` ablation variant."""
+    bad = tmp_path / "bad.json"
+    doc = tiny_config_dict()
+    doc["use_pretrain"] = False
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    assert _run("synth", "--config", str(bad), "--out", str(tmp_path)) == 2
+    assert "unknown key(s) in config: use_pretrain" in capsys.readouterr().err
+    assert not (tmp_path / "corpus").exists()
+
+
 @pytest.mark.parametrize("command,section,values", [
     ("synth", "corpus", {"noise_scale": float("nan")}),
     ("finetune", "finetune", {"learning_rate": float("inf")}),
@@ -409,7 +421,9 @@ def test_missing_checkpoint_exit_code(workspace, tmp_path, capsys):
     target = _copy_corpus(out, tmp_path / "nockpt")
     code = main(["finetune", "--config", str(cfg_path), "--out", str(target)])
     assert code == 3
-    assert "pretrain" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "run `ecgauth pretrain` first" in err and "use_pretrain" not in err
+    assert not (target / "registry.reg").exists()
 
 
 def test_missing_registry_exit_code(workspace, tmp_path):
@@ -437,12 +451,29 @@ def test_checkpoint_tensor_mismatch_exit_code(workspace, tmp_path):
                 "--out", str(target)) == 5
 
 
+def test_checkpoint_swapped_tensor_groups_exit_code(workspace, tmp_path, capsys):
+    """A buffer listed as a trainable tensor is a bad checkpoint, although
+    the union of the two groups names every tensor of the graph."""
+    cfg_path, out = workspace
+    target = _copy_corpus(out, tmp_path / "swapped")
+    mp = load_checkpoint(out / "pretrain.ckpt")
+    mp.params["stem.bn.running_var"] = mp.buffers.pop("stem.bn.running_var")
+    save_checkpoint(mp, target / "pretrain.ckpt")
+    assert main(["finetune", "--config", str(cfg_path),
+                 "--out", str(target)]) == 5
+    err = capsys.readouterr().err
+    assert "pretrain.ckpt" in err and "Traceback" not in err
+    assert "params: missing=[], surplus=['stem.bn.running_var']" in err
+    assert "buffers: missing=['stem.bn.running_var'], surplus=[]" in err
+
+
 @pytest.mark.parametrize("damage", ["narrow", "non-finite", "reciprocal-layout",
-                                    "old-layout"])
+                                    "old-layout", "swapped-groups"])
 def test_invalid_registry_tensors_exit_code(workspace, tmp_path, capsys, damage):
-    """Prototypes that cannot score the encoder's embeddings, or tensors that
-    authentication never reads, are a bad registry file, not a crash. The
-    old layout carried the pretraining heads beside the signal encoder."""
+    """Prototypes that cannot score the encoder's embeddings, tensors that
+    authentication never reads, or a trainable tensor listed as a buffer are
+    a bad registry file, not a crash. The old layout carried the pretraining
+    heads beside the signal encoder."""
     cfg_path, out = workspace
     target = tmp_path / "badreg"
     target.mkdir()
@@ -456,6 +487,8 @@ def test_invalid_registry_tensors_exit_code(workspace, tmp_path, capsys, damage)
         protos[0, 0] = np.nan
     elif damage == "old-layout":
         params = init_params(params.config, params.input_length, seed=0)
+    elif damage == "swapped-groups":
+        params.buffers["embed.weight"] = params.params.pop("embed.weight")
     else:
         extras.update({"registry.centers": protos,
                        "registry.reciprocals": np.zeros_like(protos),
@@ -476,6 +509,9 @@ def test_invalid_registry_tensors_exit_code(workspace, tmp_path, capsys, damage)
         for name in ("f_r.linear.weight", "proj_s.fc1.weight", "proj_r.fc2.bias"):
             assert f"'{name}'" in surplus
         assert "ecgauth finetune" in err
+    if damage == "swapped-groups":
+        assert "params: missing=['embed.weight'], surplus=[]" in err
+        assert "buffers: missing=[], surplus=['embed.weight']" in err
 
 
 @pytest.mark.parametrize("fs", [None, float("nan"), float("inf"), 0.0, -250.0],

@@ -10,7 +10,6 @@ from ecgauth.encoder import (
     DualEncoder,
     EncoderConfig,
     build_model,
-    encode_signal,
     encode_signal_batch,
     hash_report,
     hash_reports,
@@ -53,8 +52,8 @@ def test_params_copy_is_independent():
     in arrays of its own."""
     mp = small_params()
     cp = mp.signal_encoder()
-    names = build_model(mp).signal_shapes()
-    assert {**cp.params, **cp.buffers}.keys() == names.keys()
+    params, buffers = build_model(mp).signal_shapes()
+    assert (cp.params.keys(), cp.buffers.keys()) == (params.keys(), buffers.keys())
     assert not any(k.startswith(("f_r.", "proj_")) for k in cp.params)
     before = mp.checksum()
     cp.params["embed.weight"][0, 0] += 1.0
@@ -98,7 +97,8 @@ def test_single_matches_batch():
     x = rng.normal(size=(5, LEN))
     batch = encode_signal_batch(mp, x)
     for i in range(5):
-        assert np.allclose(encode_signal(mp, x[i]), batch[i], atol=1e-10)
+        assert np.allclose(encode_signal_batch(mp, x[i : i + 1])[0], batch[i],
+                           atol=1e-10)
 
 
 def test_chunked_batch_matches_per_row():
@@ -109,7 +109,8 @@ def test_chunked_batch_matches_per_row():
     batch = encode_signal_batch(mp, x)
     assert batch.shape == (300, SMALL.embed_dim)
     for i in (0, 31, 32, 299):
-        assert np.allclose(encode_signal(mp, x[i]), batch[i], atol=1e-10)
+        assert np.allclose(encode_signal_batch(mp, x[i : i + 1])[0], batch[i],
+                           atol=1e-10)
 
 
 def _full_width_params():

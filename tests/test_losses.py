@@ -13,7 +13,6 @@ from ecgauth.errors import (
 from ecgauth.losses import (
     center_loss_grad,
     compute_medoid,
-    contrastive_loss,
     contrastive_loss_grad,
     medoid_index,
     prototype_loss_grad,
@@ -46,21 +45,25 @@ def _fd_check(loss_fn, arrays, grads, h=1e-5, rng=None):
 # ----------------------------------------------------------------------
 # contrastive loss
 
+def _loss(zs, zr, tau=0.07):
+    """The contrastive loss value alone."""
+    return contrastive_loss_grad(zs, zr, tau)[0]
+
+
 def test_contrastive_identical_pairs_is_ln2():
     u = np.array([0.6, 0.8])
     zs = np.stack([u, u])
-    assert contrastive_loss(zs, zs, tau=0.07) == pytest.approx(math.log(2.0),
-                                                               abs=1e-9)
+    assert _loss(zs, zs, tau=0.07) == pytest.approx(math.log(2.0), abs=1e-9)
 
 
 def test_contrastive_orthonormal_is_near_zero():
     # L=2: every off-diagonal similarity is 0, the positive is 1/tau
-    loss2 = contrastive_loss(np.eye(2), np.eye(2), tau=0.07)
+    loss2 = _loss(np.eye(2), np.eye(2), tau=0.07)
     assert loss2 == pytest.approx(math.log(1.0 + math.exp(-1.0 / 0.07)),
                                   abs=1e-12)
     assert loss2 <= 1e-6
     # L=4: three negatives per row
-    loss4 = contrastive_loss(np.eye(4), np.eye(4), tau=0.07)
+    loss4 = _loss(np.eye(4), np.eye(4), tau=0.07)
     assert loss4 == pytest.approx(math.log(1.0 + 3.0 * math.exp(-1.0 / 0.07)),
                                   abs=1e-12)
 
@@ -71,28 +74,25 @@ def test_contrastive_symmetric_in_arguments():
     zr = rng.normal(size=(5, 8))
     zs /= np.linalg.norm(zs, axis=1, keepdims=True)
     zr /= np.linalg.norm(zr, axis=1, keepdims=True)
-    assert contrastive_loss(zs, zr) == pytest.approx(contrastive_loss(zr, zs),
-                                                     abs=1e-12)
+    assert _loss(zs, zr) == pytest.approx(_loss(zr, zs), abs=1e-12)
 
 
 def test_contrastive_validation():
     z = np.eye(2)
     with pytest.raises(ParameterError):
-        contrastive_loss(z, z, tau=0.0)
+        _loss(z, z, tau=0.0)
     with pytest.raises(InputError):
-        contrastive_loss(z[:1], z[:1])  # a single pair has no negatives
+        _loss(z[:1], z[:1])  # a single pair has no negatives
     with pytest.raises(ShapeError):
-        contrastive_loss(z, np.eye(3))
+        _loss(z, np.eye(3))
 
 
 def test_contrastive_gradients():
     rng = np.random.default_rng(2)
     zs = rng.normal(size=(4, 6))
     zr = rng.normal(size=(4, 6))
-    loss, dzs, dzr = contrastive_loss_grad(zs, zr, tau=0.07)
-    assert loss == pytest.approx(contrastive_loss(zs, zr, tau=0.07), abs=1e-12)
-    _fd_check(lambda: contrastive_loss(zs, zr, tau=0.07), [zs, zr], [dzs, dzr],
-              rng=rng)
+    _, dzs, dzr = contrastive_loss_grad(zs, zr, tau=0.07)
+    _fd_check(lambda: _loss(zs, zr, tau=0.07), [zs, zr], [dzs, dzr], rng=rng)
 
 
 # ----------------------------------------------------------------------
@@ -136,7 +136,10 @@ def test_medoid_returns_a_member():
 
 
 def test_medoid_one_dimensional_input():
-    assert compute_medoid(np.array([3.0, 1.0, 2.0])) == pytest.approx([2.0])
+    """A medoid is taken over (n, dim) feature rows; a flat vector and an
+    empty set are rejected."""
+    with pytest.raises(InputError):
+        compute_medoid(np.array([3.0, 1.0, 2.0]))
     with pytest.raises(InputError):
         compute_medoid(np.empty((0, 3)))
 
@@ -151,14 +154,13 @@ def test_prototype_prob_rows_sum_to_one():
     probs = prototype_prob(f, p)
     assert probs.shape == (7, 3)
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
-    single = prototype_prob(f[0], p)
-    assert single.shape == (3,)
-    assert np.allclose(single, probs[0], atol=0)
+    # each row depends on its own feature alone
+    assert np.array_equal(prototype_prob(f[:1], p), probs[:1])
 
 
 def test_prototype_prob_strictly_positive_at_huge_distances():
     p = np.stack([np.zeros(4), np.full(4, 100.0)])
-    probs = prototype_prob(np.zeros(4), p)
+    probs = prototype_prob(np.zeros((1, 4)), p)[0]
     assert probs[0] > 0.99
     assert probs[1] > 0.0  # floored, never underflows to an exact zero
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
@@ -167,10 +169,10 @@ def test_prototype_prob_strictly_positive_at_huge_distances():
 def test_prototype_prob_survives_large_common_offset():
     """Translating the whole constellation far away stays stable and sane."""
     p = np.stack([np.zeros(3), np.array([1.0, 0.0, 0.0])])
-    f = np.array([0.2, 0.0, 0.0])
-    near = prototype_prob(f, p)
+    f = np.array([[0.2, 0.0, 0.0]])
+    near = prototype_prob(f, p)[0]
     shift = np.full(3, 1e3)
-    far = prototype_prob(f + shift, p + shift[None, :])
+    far = prototype_prob(f + shift, p + shift[None, :])[0]
     assert np.isfinite(far).all()
     assert far.sum() == pytest.approx(1.0, abs=1e-12)
     assert int(np.argmax(far)) == int(np.argmax(near))

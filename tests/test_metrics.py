@@ -221,12 +221,12 @@ def test_format_curve_shape_and_round_trip():
 def test_write_embeddings_csv(tmp_path):
     emb = np.arange(6.0).reshape(2, 3)
     path = tmp_path / "emb.csv"
-    write_embeddings_csv(path, [0, 1], [5, OPEN], emb)
+    write_embeddings_csv(path, [5, OPEN], emb)
     lines = path.read_text(encoding="utf-8").strip().split("\n")
     assert lines[0] == "sample_id,true_id,dim_0,dim_1,dim_2"
     assert lines[1] == "0,5,0.0,1.0,2.0"
     assert lines[2] == "1,-1,3.0,4.0,5.0"
     with pytest.raises(InputError):
-        write_embeddings_csv(path, [0], [5, OPEN], emb)
+        write_embeddings_csv(path, [5], emb)
     with pytest.raises(InputError):
-        write_embeddings_csv(path, [0, 1], [5, OPEN], emb.reshape(6))
+        write_embeddings_csv(path, [5, OPEN], emb.reshape(6))

@@ -12,7 +12,6 @@ from ecgauth.signals import (
     IdentityMorphology,
     detect_r_peaks,
     extract_fiducials,
-    parse_report,
     read_record,
     render_report,
     segment_beats,
@@ -232,30 +231,11 @@ def test_report_golden_strings(features, expected):
     assert render_report(features) == expected
 
 
-def test_report_round_trip():
-    f = FiducialFeatures([250, 500, 745], [1.0, 0.98], 0.0923, 0.0587, 0.1274)
-    g = parse_report(render_report(f))
-    assert np.array_equal(g.r_peaks, f.r_peaks)
-    assert np.allclose(g.rr_intervals_s, np.round(f.rr_intervals_s, 3))
-    assert g.avg_qrs_width_s == pytest.approx(f.avg_qrs_width_s, abs=5e-4)
-    assert g.sdnn_s == pytest.approx(f.sdnn_s, abs=5e-4)
-    assert g.rmssd_s == pytest.approx(f.rmssd_s, abs=5e-4)
-
-
 def test_report_truncates_at_ten_peaks():
     f = FiducialFeatures(list(range(0, 3000, 200)), [0.8] * 14, 0.08, 0.01, 0.01)
     text = render_report(f)
-    assert "..." in text
-    recovered = parse_report(text)
-    assert recovered.r_peaks.size == REPORT_MAX_PEAKS
-
-
-def test_parse_report_rejects_non_template_text():
-    with pytest.raises(InputError):
-        parse_report("not an ecg report at all")
-    with pytest.raises(InputError):
-        parse_report("The R-wave Peak Positions of the ECG signal are "
-                     "located at: 1, 2. truncated garbage")
+    shown = ", ".join(str(p) for p in range(0, 200 * REPORT_MAX_PEAKS, 200))
+    assert f"located at: {shown}, .... RR Intervals" in text
 
 
 # ----------------------------------------------------------------------

@@ -149,8 +149,8 @@ def test_finetune_only_updates_signal_branch(labeled):
     mp = _init_mp(labeled)
     before = {k: v.copy() for k, v in mp.params.items()}
     after, _, _, _ = finetune(labeled, mp, cfg, 7)
-    names = set(after.params) | set(after.buffers)
-    assert names == set(build_model(mp).signal_shapes())
+    params, buffers = build_model(mp).signal_shapes()
+    assert (set(after.params), set(after.buffers)) == (set(params), set(buffers))
     for key in after.params:
         assert not np.array_equal(before[key], after.params[key]), key
     # the input is never mutated
