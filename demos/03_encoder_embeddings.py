@@ -25,6 +25,7 @@ from ecgauth import (
     EncoderConfig,
     IdentityMorphology,
     encode_signal_batch,
+    fold_signal_encoder,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -49,8 +50,10 @@ for seed in (201, 202):
     segs = segment_beats(rec, rec.ground_truth_peaks, half_window=125)
     windows.append(np.stack([s.window for s in segs[:8]]))
 
-emb_a = encode_signal_batch(params, windows[0])
-emb_b = encode_signal_batch(params, windows[1])
+# inference folds each batch norm into the conv before it, once per set of weights
+folded = fold_signal_encoder(params)
+emb_a = encode_signal_batch(folded, windows[0])
+emb_b = encode_signal_batch(folded, windows[1])
 print(f"embeddings: {emb_a.shape} per identity, norms "
       f"{np.linalg.norm(emb_a, axis=1).round(3).tolist()[:3]} ... "
       f"(unnormalized; distances carry the identity geometry)")

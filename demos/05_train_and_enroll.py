@@ -21,7 +21,7 @@ from ecgauth import (
     RunConfig,
     build_corpus,
 )
-from ecgauth.encoder import encode_signal_batch
+from ecgauth.encoder import encode_signal_batch, fold_signal_encoder
 from ecgauth.pipeline import make_pretrain_pairs, make_splits
 from ecgauth.training import finetune, pretrain
 
@@ -65,8 +65,9 @@ for seg, sid in test:
     by_id.setdefault(sid, []).append(seg.window)
 ids = sorted(by_id)
 emb = {}
+folded = fold_signal_encoder(tuned)
 for sid, wins in by_id.items():
-    e = encode_signal_batch(tuned, np.stack(wins))
+    e = encode_signal_batch(folded, np.stack(wins))
     emb[sid] = e / np.linalg.norm(e, axis=1, keepdims=True)
 within = np.mean([float((emb[i] @ emb[i].T).mean()) for i in ids])
 between = np.mean([float((emb[a] @ emb[b].T).mean())

@@ -28,6 +28,7 @@ from .encoder import (
     ModelParams,
     build_model,
     encode_signal_batch,
+    fold_signal_encoder,
     hash_report,
     hash_reports,
     init_params,

@@ -9,6 +9,11 @@ the winning probability clears the threshold. Registries persist in the
 same container format as encoder checkpoints, with the signal encoder's
 tensors, the prototype matrix as the one extra tensor, and the ids,
 threshold and sampling rate in metadata.
+
+A registry folds its encoder's batch norms into the convs once, when it is
+constructed (``encoder.fold_signal_encoder``), and every score runs that
+folded copy. The fold is derived from the weights: it is not saved, and it
+is not part of the digest, the repr or equality.
 """
 
 from __future__ import annotations
@@ -23,9 +28,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encoder import (
+    FoldedEncoder,
     ModelParams,
     build_model,
     encode_signal_batch,
+    fold_signal_encoder,
     load_container,
     save_container,
     tensor_mismatch,
@@ -58,7 +65,9 @@ class Decision:
 class Registry:
     """Enrolled identities: the signal encoder's weights, sorted ids, their
     prototypes (row k belongs to ids[k]), the acceptance threshold, and the
-    sampling rate ``fs`` (Hz) of the records the encoder was trained on."""
+    sampling rate ``fs`` (Hz) of the records the encoder was trained on.
+    ``encoder`` is ``params`` folded for inference, derived at construction
+    (so also by ``dataclasses.replace``)."""
 
     params: ModelParams
     ids: list[int]
@@ -66,6 +75,7 @@ class Registry:
     threshold: float
     fs: float
     metadata: dict = field(default_factory=dict)
+    encoder: FoldedEncoder = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.ids = [int(i) for i in self.ids]
@@ -92,6 +102,7 @@ class Registry:
         if not (math.isfinite(self.fs) and self.fs > 0):
             raise ParameterError(f"sampling rate must be positive and finite, "
                                  f"got {self.fs}")
+        self.encoder = fold_signal_encoder(self.params)
 
     def digest(self) -> str:
         """SHA-256 over signal-encoder tensors, ids, prototypes, threshold,
@@ -151,7 +162,7 @@ def score_embeddings(registry: Registry, emb: np.ndarray):
 
 def score_batch(registry: Registry, windows: np.ndarray):
     """(max probability, predicted id) for a (batch, length) window array."""
-    return score_embeddings(registry, encode_signal_batch(registry.params, windows))
+    return score_embeddings(registry, encode_signal_batch(registry.encoder, windows))
 
 
 def authenticate(registry: Registry, segment) -> Decision:

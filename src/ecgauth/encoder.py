@@ -11,6 +11,14 @@ linear-ReLU-linear, then L2 normalization. The layer graph
 (``DualEncoder.signal_chain``) is the one place that names the signal
 encoder's tensors.
 
+Inference runs a folded copy of the signal encoder (``fold_signal_encoder``):
+each batch norm's running statistics are folded into the conv before it,
+and ``encode_signal_batch`` runs the result through the training layers'
+forward code, one 32-window chunk at a time, with no tape. A window's
+embedding is bit-identical whatever batch or chunk it comes in, and it
+differs from the unfolded eval-mode graph by rounding only. The folded
+tensors are derived, never saved.
+
 Checkpoints are a single-file container: an 8-byte magic, a JSON header
 (format version, encoder configuration, tensor manifest), the tensors as
 little-endian float64 in manifest order, and a SHA-256 digest of everything
@@ -25,6 +33,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -123,11 +132,13 @@ class DualEncoder:
 
     ``signal_chain`` is the signal encoder; ``signal_proj`` and
     ``report_chain`` (report linear map plus its projection head) are the
-    pretraining heads. ``forward_signal``/``forward_report`` return their
-    output together with a tape of the intermediate activations needed for
-    reverse-mode differentiation; the matching ``backward_*`` call takes
-    that tape and returns per-tensor gradients. The model itself holds no
-    per-call state.
+    pretraining heads. ``forward_signal``/``forward_report`` run in
+    training mode and return their output together with a tape of the
+    intermediate activations needed for reverse-mode differentiation; the
+    matching ``backward_*`` call takes that tape and returns per-tensor
+    gradients. ``conv_norms`` and ``folded_layers`` are the signal chain as
+    inference runs it (``fold_signal_encoder``, ``encode_signal_batch``).
+    The model itself holds no per-call state.
     """
 
     def __init__(self, config: EncoderConfig, input_length: int):
@@ -138,18 +149,20 @@ class DualEncoder:
         self.input_length = input_length
 
         k = config.kernel_size
-        layers = [
-            nn.Conv1d("stem.conv", 1, config.channels[0], k, stride=2),
-            nn.BatchNorm1d("stem.bn", config.channels[0]),
-            nn.ReLU(),
-        ]
+        stem = nn.Conv1d("stem.conv", 1, config.channels[0], k, stride=2)
+        stem_bn = nn.BatchNorm1d("stem.bn", config.channels[0])
+        relu, pool = nn.ReLU(), nn.GlobalAvgPool()
+        blocks = []
         c_in = config.channels[0]
         for i, c_out in enumerate(config.channels):
-            layers.append(nn.ResidualBlock(f"block{i}", c_in, c_out, k))
+            blocks.append(nn.ResidualBlock(f"block{i}", c_in, c_out, k))
             c_in = c_out
-        layers.append(nn.GlobalAvgPool())
-        layers.append(nn.Linear("embed", c_in, config.embed_dim))
-        self.signal_chain = nn.Chain(layers)
+        self.embed = nn.Linear("embed", c_in, config.embed_dim)
+        self.signal_chain = nn.Chain([stem, stem_bn, relu, *blocks, pool, self.embed])
+        # inference: the signal chain with each batch norm folded into the
+        # conv before it (fold_signal_encoder)
+        self.conv_norms = [(stem, stem_bn)] + [pair for b in blocks for pair in b.conv_norms]
+        self.folded_layers = [stem, relu, *blocks, pool, self.embed]
 
         d, p = config.embed_dim, config.proj_dim
         self.signal_proj = nn.Chain([
@@ -208,14 +221,14 @@ class DualEncoder:
             )
         return x
 
-    def forward_signal(self, mp: ModelParams, x: np.ndarray, train: bool = True,
-                       project: bool = False):
-        """Embed (and optionally project) a batch of segments -> (output, tape)."""
+    def forward_signal(self, mp: ModelParams, x: np.ndarray, project: bool = False):
+        """Embed (and optionally project) a batch of segments in training
+        mode -> (output, tape)."""
         x = self._check_batch(x)
-        h, tape = self.signal_chain.forward(mp.params, mp.buffers, x[:, None, :], train)
+        h, tape = self.signal_chain.forward(mp.params, mp.buffers, x[:, None, :], True)
         proj_tape = None
         if project:
-            h, proj_tape = self.signal_proj.forward(mp.params, mp.buffers, h, train)
+            h, proj_tape = self.signal_proj.forward(mp.params, mp.buffers, h, True)
         return h, (tape, proj_tape)
 
     def backward_signal(self, mp: ModelParams, d_out: np.ndarray,
@@ -327,25 +340,63 @@ def init_params(config: EncoderConfig, input_length: int, seed: int) -> ModelPar
 _ENCODE_CHUNK = 32
 
 
-def encode_signal_batch(mp: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Inference-mode embeddings for a (batch, length) array of windows.
+@dataclass(frozen=True, eq=False)
+class FoldedEncoder:
+    """The signal encoder as inference runs it (``fold_signal_encoder``).
 
-    Runs the signal chain's layers one at a time with the same ``forward``
-    code as training (``train=False``) but keeps no tape: each layer's
-    backward cache is dropped as soon as its output exists. The chain runs
-    ``_ENCODE_CHUNK`` windows at a time, so its activations stay
-    cache-sized. In eval mode every layer is per-window, so a window's
-    embedding does not depend on the chunk size or on the other windows in
-    the batch, and it matches the taped ``forward_signal`` exactly.
+    ``tensors`` holds each conv's folded weight and bias and the ``embed``
+    layer's, under the layer graph's names; no batch-norm tensor is left.
+    """
+
+    config: EncoderConfig
+    input_length: int
+    tensors: dict[str, np.ndarray]
+
+
+def fold_signal_encoder(mp: ModelParams) -> FoldedEncoder:
+    """Fold each batch norm of the signal encoder into the conv before it.
+
+    With sigma = sqrt(running_var + eps), the conv weight becomes
+    W * gamma / sigma and its bias (b - running_mean) * gamma / sigma + beta,
+    per output channel, so a conv followed by an eval-mode batch norm is one
+    conv. Pure: the result shares no array with ``mp``.
     """
     model = build_model(mp)
+    p, buf = mp.params, mp.buffers
+    tensors = {k: p[k].copy() for k in (f"{model.embed.name}.weight",
+                                        f"{model.embed.name}.bias")}
+    for conv, bn in model.conv_norms:
+        sigma = np.sqrt(buf[f"{bn.name}.running_var"] + nn._BN_EPS)
+        scale = p[f"{bn.name}.gamma"] / sigma
+        mean = buf[f"{bn.name}.running_mean"]
+        tensors[f"{conv.name}.weight"] = p[f"{conv.name}.weight"] * scale[:, None, None]
+        tensors[f"{conv.name}.bias"] = (p[f"{conv.name}.bias"] - mean) * scale + p[f"{bn.name}.beta"]
+    return FoldedEncoder(config=mp.config, input_length=mp.input_length, tensors=tensors)
+
+
+def encode_signal_batch(enc: FoldedEncoder, x: np.ndarray) -> np.ndarray:
+    """Embeddings for a (batch, length) array of windows: the one inference
+    path.
+
+    Runs the folded signal encoder through the same ``forward`` code as
+    training (``train=False``), with ``ResidualBlock.infer`` wiring each
+    block, and keeps no tape. It runs ``_ENCODE_CHUNK`` windows at a time,
+    so its activations stay cache-sized. Every layer is per-window, so a
+    window's embedding does not depend on the chunk size or on the other
+    windows in the batch.
+    """
+    model = _layer_graph(enc.config, enc.input_length)
     x = model._check_batch(x)
+    tensors = enc.tensors
     out = []
     # an empty batch still makes one pass, so it keeps its (0, embed_dim) shape
     for start in range(0, max(x.shape[0], 1), _ENCODE_CHUNK):
         h = x[start : start + _ENCODE_CHUNK, None, :]
-        for layer in model.signal_chain.layers:
-            h = layer.forward(mp.params, mp.buffers, h, False)[0]
+        for layer in model.folded_layers:
+            if isinstance(layer, nn.ResidualBlock):
+                h = layer.infer(tensors, h)
+            else:
+                h = layer.forward(tensors, None, h, False)[0]
         out.append(h)
     return np.concatenate(out, axis=0)
 
@@ -387,6 +438,29 @@ def _manifest_for(mp: ModelParams, extra_tensors: dict[str, np.ndarray]):
     for key in sorted(extra_tensors):
         manifest.append({"name": key, "shape": list(extra_tensors[key].shape), "group": "extra"})
     return manifest
+
+
+def _manifest_entries(path, manifest) -> list[tuple[str, str, tuple[int, ...], int]]:
+    """(group, name, shape, element count) per manifest entry, each field
+    checked once; a malformed entry is a CheckpointFormatError naming it."""
+    if not isinstance(manifest, list):
+        raise CheckpointFormatError(f"{path}: manifest is not a list")
+    entries = []
+    for k, entry in enumerate(manifest):
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            raise CheckpointFormatError(f"{path}: manifest entry {k} has no tensor name")
+        name, group, shape = entry["name"], entry.get("group"), entry.get("shape")
+        if group not in ("param", "buffer", "extra"):
+            raise CheckpointFormatError(
+                f"{path}: manifest entry {name!r} has group {group!r}, expected "
+                "'param', 'buffer' or 'extra'")
+        # bool is an int subclass; JSON true/false is no dimension
+        if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+            raise CheckpointFormatError(
+                f"{path}: manifest entry {name!r} has shape {shape!r}; dimensions "
+                "must be non-negative integers")
+        entries.append((group, name, tuple(shape), math.prod(shape)))
+    return entries
 
 
 def save_container(path, kind: str, mp: ModelParams,
@@ -454,8 +528,7 @@ def load_container(path, expected_kind: str):
         raise CheckpointFormatError(f"{path}: container kind {kind!r}, expected {expected_kind!r}")
 
     try:
-        manifest = header["manifest"]
-        payload = sum(int(np.prod(e["shape"], dtype=np.int64)) for e in manifest) * 8
+        entries = _manifest_entries(path, header["manifest"])
         section = header["encoder"]
         if set(section) != {f.name for f in dataclasses.fields(EncoderConfig)}:
             raise CheckpointFormatError(
@@ -467,14 +540,14 @@ def load_container(path, expected_kind: str):
     except (KeyError, TypeError, ValueError, ParameterError) as exc:
         raise CheckpointFormatError(f"{path}: invalid header structure ({exc})") from exc
 
-    total = body_start + header_len + payload + 32
+    total = body_start + header_len + 8 * sum(count for *_, count in entries) + 32
     if len(raw) < total:
         raise CheckpointTruncatedError(
             f"{path}: expected {total} bytes, found {len(raw)}"
         )
     if len(raw) > total:
         raise CheckpointFormatError(f"{path}: {len(raw) - total} trailing bytes")
-    if hashlib.sha256(raw[:-32]).digest() != raw[-32:]:
+    if hashlib.sha256(memoryview(raw)[:-32]).digest() != raw[-32:]:
         raise CheckpointChecksumError(f"{path}: content does not match stored digest")
 
     params: dict[str, np.ndarray] = {}
@@ -482,12 +555,10 @@ def load_container(path, expected_kind: str):
     extra: dict[str, np.ndarray] = {}
     groups = {"param": params, "buffer": buffers, "extra": extra}
     offset = body_start + header_len
-    for entry in manifest:
-        shape = tuple(int(s) for s in entry["shape"])
-        size = int(np.prod(shape, dtype=np.int64)) * 8
-        tensor = np.frombuffer(raw, dtype="<f8", count=size // 8, offset=offset)
-        groups[entry["group"]][entry["name"]] = tensor.reshape(shape).astype(np.float64)
-        offset += size
+    for group, name, shape, count in entries:
+        tensor = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
+        groups[group][name] = tensor.reshape(shape).astype(np.float64)
+        offset += 8 * count
 
     mp = ModelParams(config=config, input_length=input_length, params=params, buffers=buffers)
     return mp, extra, header.get("metadata", {})

@@ -6,6 +6,12 @@ keeps the per-layer caches as a tape and replays them in reverse. Parameters
 and non-trainable buffers (batch-norm running statistics) live in plain
 ``dict[str, np.ndarray]`` keyed by dotted layer names.
 
+Batch norm runs in training only, on batch statistics. Inference has no
+batch norm: ``encoder.fold_signal_encoder`` folds each one's running
+statistics into the conv before it, and the folded tensors run through the
+same ``Conv1d``, ``ReLU``, ``GlobalAvgPool`` and ``Linear`` forward code
+(``train=False``), with ``ResidualBlock.infer`` wiring a block.
+
 To save allocations, some layers write their result over an array they were
 handed: batch norm over the convolution output it normalizes, ReLU over its
 input, a backward pass over the gradient it received. Each does so only
@@ -84,11 +90,12 @@ class Conv1d:
 class BatchNorm1d:
     """Per-channel batch normalization over (batch, length).
 
-    Training mode uses population batch statistics and updates running
-    averages with momentum 0.1; inference mode applies the stored averages.
-    Epsilon is 1e-5. The input is always a convolution's fresh output, which
-    no cache holds, so ``forward`` writes its result over it. Inference mode
-    keeps no backward cache, and ``backward`` on it raises ``StateError``.
+    Uses population batch statistics and updates running averages with
+    momentum 0.1; epsilon is 1e-5. It runs in training only: inference folds
+    the running averages into the conv before it, and ``forward`` with
+    ``train=False`` raises ``StateError``. The input is always a
+    convolution's fresh output, which no cache holds, so ``forward`` writes
+    its result over it.
     """
 
     def __init__(self, name: str, channels: int):
@@ -102,16 +109,11 @@ class BatchNorm1d:
         buffers[f"{self.name}.running_var"] = np.ones(self.channels)
 
     def forward(self, params, buffers, x, train):
+        if not train:
+            raise StateError(f"{self.name}: batch norm runs in training only; "
+                             "inference folds it into the conv before it")
         gamma = params[f"{self.name}.gamma"][:, None]
         beta = params[f"{self.name}.beta"][:, None]
-        if not train:
-            mu = buffers[f"{self.name}.running_mean"]
-            var = buffers[f"{self.name}.running_var"]
-            x -= mu[:, None]
-            x *= (1.0 / np.sqrt(var + _BN_EPS))[:, None]
-            x *= gamma
-            x += beta
-            return x, None
         mu = x.mean(axis=(0, 2))
         xhat = x - mu[:, None]
         # the mean squared deviation, as x.var computes it; x is scratch now
@@ -126,9 +128,6 @@ class BatchNorm1d:
         return x, (xhat, invstd)
 
     def backward(self, params, dy, cache, grads):
-        if cache is None:
-            raise StateError(f"{self.name}: backward through an inference-mode "
-                             "batch norm, which keeps no backward cache")
         xhat, invstd = cache
         gamma = params[f"{self.name}.gamma"]
         # dy is left intact: a residual block hands the same dy to two layers
@@ -154,7 +153,7 @@ class ReLU:
         pass
 
     def forward(self, params, buffers, x, train):
-        # x is the fresh output of a batch norm or linear layer
+        # x is the fresh output of a batch norm, conv or linear layer
         mask = x > 0
         x *= mask
         return x, mask
@@ -238,6 +237,8 @@ class ResidualBlock:
     """conv-norm-ReLU-conv-norm plus a 1x1 stride-2 projection skip, then ReLU.
 
     The first convolution and the skip both downsample by stride 2.
+    ``conv_norms`` pairs each convolution with the batch norm after it, as
+    inference folds them.
     """
 
     def __init__(self, name: str, c_in: int, c_out: int, kernel: int):
@@ -249,6 +250,8 @@ class ResidualBlock:
         self.bn2 = BatchNorm1d(f"{name}.bn2", c_out)
         self.skip_conv = Conv1d(f"{name}.skip", c_in, c_out, 1, stride=2)
         self.skip_bn = BatchNorm1d(f"{name}.skip_bn", c_out)
+        self.conv_norms = ((self.conv1, self.bn1), (self.conv2, self.bn2),
+                           (self.skip_conv, self.skip_bn))
 
     def init(self, params, buffers, rng):
         for layer in (self.conv1, self.bn1, self.conv2, self.bn2,
@@ -267,6 +270,17 @@ class ResidualBlock:
         mask = h > 0
         h *= mask
         return h, (c1, c2, c3, c4, c5, c6, c7, mask)
+
+    def infer(self, tensors, x):
+        """``forward`` at inference, on ``tensors`` whose convs carry the
+        batch norm after them folded in: no batch norm, and no cache."""
+        h = self.conv1.forward(tensors, None, x, False)[0]
+        h = self.relu.forward(tensors, None, h, False)[0]
+        h = self.conv2.forward(tensors, None, h, False)[0]
+        h += self.skip_conv.forward(tensors, None, x, False)[0]
+        mask = h > 0
+        h *= mask
+        return h
 
     def backward(self, params, dy, cache, grads):
         c1, c2, c3, c4, c5, c6, c7, mask = cache

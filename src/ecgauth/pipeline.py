@@ -503,7 +503,7 @@ def evaluate(corpus: Corpus, cfg: RunConfig, registry: Registry,
         )
 
     _, _, test = make_splits(corpus)
-    known_emb = encode_signal_batch(registry.params,
+    known_emb = encode_signal_batch(registry.encoder,
                                     np.stack([s.window for s, _ in test]))
     probs, preds = score_embeddings(registry, known_emb)
     known_samples = [
@@ -518,7 +518,7 @@ def evaluate(corpus: Corpus, cfg: RunConfig, registry: Registry,
     per_open: dict[int, list[ScoredSample]] = {}
     for sid in all_open[:needed]:
         emb = encode_signal_batch(
-            registry.params,
+            registry.encoder,
             np.stack([s.window for s in corpus.open_set[sid].segments]))
         probs, preds = score_embeddings(registry, emb)
         per_open[sid] = [ScoredSample(float(p), int(c), OPEN)

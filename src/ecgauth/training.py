@@ -24,6 +24,7 @@ from .encoder import (
     ModelParams,
     build_model,
     encode_signal_batch,
+    fold_signal_encoder,
     hash_reports,
     init_params,
 )
@@ -180,8 +181,7 @@ def pretrain(pairs, cfg: PretrainConfig, seed: int,
             idx = perm[start : start + cfg.batch_size]
             if idx.size < 2:
                 continue
-            zs, sig_tape = model.forward_signal(mp, windows[idx], train=True,
-                                                project=True)
+            zs, sig_tape = model.forward_signal(mp, windows[idx], project=True)
             zr, rep_tape = model.forward_report(mp, hashed[idx])
             loss, dzs, dzr = contrastive_loss_grad(zs, zr, cfg.tau)
             grads = model.backward_signal(mp, dzs, sig_tape)
@@ -220,7 +220,7 @@ def _group_by_class(labeled):
 
 
 def _class_medoids(mp: ModelParams, windows, class_idx, n_classes) -> np.ndarray:
-    emb = encode_signal_batch(mp, windows)
+    emb = encode_signal_batch(fold_signal_encoder(mp), windows)
     return np.stack([
         compute_medoid(emb[class_idx == k]) for k in range(n_classes)
     ])
@@ -259,7 +259,7 @@ def finetune(labeled, params: ModelParams, cfg: FinetuneConfig, seed: int):
         for start in range(0, n, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
             yb = class_idx[idx]
-            feats, tape = model.forward_signal(mp, windows[idx], train=True)
+            feats, tape = model.forward_signal(mp, windows[idx])
             d_feats = np.zeros_like(feats)
             geom_grads: dict[str, np.ndarray] = {}
             l_proto = 0.0

@@ -16,10 +16,13 @@ from ecgauth.authsys import (
     load_registry,
     save_registry,
     score_batch,
+    score_embeddings,
 )
 from ecgauth.encoder import (
     EncoderConfig,
     build_model,
+    encode_signal_batch,
+    fold_signal_encoder,
     init_params,
     load_container,
     save_checkpoint,
@@ -113,6 +116,22 @@ def test_score_batch_chunks_large_batches(labeled, registry):
     one = authenticate(registry, windows[300])
     assert float(probs[300]) == one.max_prob
     assert int(preds[300]) == one.predicted_id
+
+
+def test_registry_fold_follows_its_params(labeled, registry):
+    """Replacing the weights refolds them: the registry scores like a fresh
+    fold of the new weights, not like the old fold."""
+    other = registry.params.signal_encoder()
+    for key, value in other.buffers.items():
+        value *= 4.0 if key.endswith("running_var") else 0.5
+    swapped = dataclasses.replace(registry, params=other)
+    windows = np.stack([seg.window for seg, _ in labeled[:20]])
+    probs, preds = score_batch(swapped, windows)
+    want_probs, want_preds = score_embeddings(
+        registry, encode_signal_batch(fold_signal_encoder(other), windows))
+    assert np.array_equal(probs, want_probs)
+    assert np.array_equal(preds, want_preds)
+    assert not np.array_equal(probs, score_batch(registry, windows)[0])
 
 
 def test_registry_validation(registry):
@@ -250,6 +269,22 @@ def test_registry_holds_only_what_authentication_reads(tmp_path, registry):
     assert set(extras) == {"registry.prototypes"}
     assert extras["registry.prototypes"].tobytes() == registry.prototypes.tobytes()
     assert set(metadata) == {"ids", "threshold", "fs", "creation"}
+
+
+def test_registry_saves_weights_not_their_fold(tmp_path, registry):
+    """The folded encoder is derived on load, not stored: the container
+    holds the trained weights and batch-norm state, and the fold stays out
+    of the digest and the repr."""
+    path = tmp_path / "ids.reg"
+    save_registry(registry, path)
+    mp, _, _ = load_container(path, "registry")
+    assert mp.checksum() == registry.params.checksum()
+    folded = registry.encoder.tensors
+    assert not np.array_equal(mp.params["stem.conv.weight"], folded["stem.conv.weight"])
+    back = load_registry(path)
+    assert back.encoder.tensors.keys() == folded.keys()
+    assert all(np.array_equal(back.encoder.tensors[k], folded[k]) for k in folded)
+    assert "encoder=" not in repr(registry)
 
 
 def test_registry_missing_geometry_tensor(tmp_path, registry):

@@ -135,9 +135,8 @@ def test_eval_embeddings_come_from_one_pass_over_the_same_windows(workspace):
     first_open = sorted(corpus.open_set)[: cfg.open_ratios[0] * len(corpus.enrolled)]
     windows = [s.window for s, _ in test] + [
         s.window for sid in first_open for s in corpus.open_set[sid].segments]
-    expected = encode_signal_batch(registry.params, np.stack(windows))
-    assert outcome.embeddings.shape == expected.shape
-    assert np.allclose(outcome.embeddings, expected, atol=1e-10)
+    expected = encode_signal_batch(registry.encoder, np.stack(windows))
+    assert np.array_equal(outcome.embeddings, expected)
     assert outcome.embedding_true_ids == (
         [sid for _, sid in test] + [OPEN] * (len(windows) - len(test)))
 
@@ -416,6 +415,19 @@ def test_malformed_manifest_exit_code(workspace, tmp_path, capsys, change):
     assert "manifest" in capsys.readouterr().err
 
 
+def _rewrite_header(path, change, dest):
+    """Copy the container at ``path`` to ``dest`` with ``change`` applied to
+    its JSON header, re-sealed with a valid digest, so that only the header
+    is at fault."""
+    raw = path.read_bytes()
+    n = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16 : 16 + n])
+    change(header)
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    body = raw[:8] + len(head).to_bytes(8, "little") + head + raw[16 + n : -32]
+    dest.write_bytes(body + hashlib.sha256(body).digest())
+
+
 def test_missing_checkpoint_exit_code(workspace, tmp_path, capsys):
     cfg_path, out = workspace
     target = _copy_corpus(out, tmp_path / "nockpt")
@@ -467,13 +479,35 @@ def test_checkpoint_swapped_tensor_groups_exit_code(workspace, tmp_path, capsys)
     assert "buffers: missing=['stem.bn.running_var'], surplus=[]" in err
 
 
+def test_checkpoint_malformed_manifest_entry_exit_code(workspace, tmp_path, capsys):
+    """A manifest entry in no known tensor group is a bad checkpoint."""
+    cfg_path, out = workspace
+    target = _copy_corpus(out, tmp_path / "weirdgroup")
+    _rewrite_header(out / "pretrain.ckpt",
+                    lambda h: h["manifest"][0].update(group="weird"),
+                    target / "pretrain.ckpt")
+    assert main(["finetune", "--config", str(cfg_path),
+                 "--out", str(target)]) == 5
+    err = capsys.readouterr().err
+    assert "pretrain.ckpt" in err and "Traceback" not in err
+    assert "group 'weird'" in err
+
+
+# each dimension a manifest entry may not have: a float (of the right value,
+# so the byte count matches), a bool, a negative integer
+_BAD_DIMS = {"float-dim": 16.0, "bool-dim": True, "negative-dim": -16}
+
+
 @pytest.mark.parametrize("damage", ["narrow", "non-finite", "reciprocal-layout",
-                                    "old-layout", "swapped-groups"])
+                                    "old-layout", "swapped-groups", "weird-group",
+                                    "unnamed", *_BAD_DIMS])
 def test_invalid_registry_tensors_exit_code(workspace, tmp_path, capsys, damage):
     """Prototypes that cannot score the encoder's embeddings, tensors that
-    authentication never reads, or a trainable tensor listed as a buffer are
-    a bad registry file, not a crash. The old layout carried the pretraining
-    heads beside the signal encoder."""
+    authentication never reads, a trainable tensor listed as a buffer, or a
+    manifest entry in no known group, without a name or with a dimension
+    that is no non-negative integer are a bad registry file, not a crash.
+    The old layout carried the pretraining heads beside the signal
+    encoder."""
     cfg_path, out = workspace
     target = tmp_path / "badreg"
     target.mkdir()
@@ -489,18 +523,33 @@ def test_invalid_registry_tensors_exit_code(workspace, tmp_path, capsys, damage)
         params = init_params(params.config, params.input_length, seed=0)
     elif damage == "swapped-groups":
         params.buffers["embed.weight"] = params.params.pop("embed.weight")
-    else:
+    elif damage == "reciprocal-layout":
         extras.update({"registry.centers": protos,
                        "registry.reciprocals": np.zeros_like(protos),
                        "registry.margins": np.ones(len(protos))})
-    save_container(target / "registry.reg", "registry", params, extras,
+    path = target / "registry.reg"
+    save_container(path, "registry", params, extras,
                    {"ids": good.ids, "threshold": good.threshold,
                     "fs": good.fs, "creation": good.metadata})
+    if damage == "weird-group":
+        _rewrite_header(path, lambda h: h["manifest"][0].update(group="weird"), path)
+    elif damage == "unnamed":
+        _rewrite_header(path, lambda h: h["manifest"][0].pop("name"), path)
+    elif damage in _BAD_DIMS:
+        _rewrite_header(path, lambda h: h["manifest"][0].update(
+            shape=[_BAD_DIMS[damage]]), path)
     record = out / "corpus" / "id_0001.ecg"
     assert main(["auth", "--config", str(cfg_path), "--out", str(target),
                  str(record)]) == 5
     err = capsys.readouterr().err
     assert "registry.reg" in err and "Traceback" not in err
+    if damage == "weird-group":
+        assert "manifest entry 'block0.bn1.beta' has group 'weird'" in err
+    if damage == "unnamed":
+        assert "manifest entry 0 has no tensor name" in err
+    if damage in _BAD_DIMS:
+        assert (f"manifest entry 'block0.bn1.beta' has shape "
+                f"[{_BAD_DIMS[damage]!r}]") in err
     if damage == "reciprocal-layout":
         assert ("surplus=['registry.centers', 'registry.margins', "
                 "'registry.reciprocals']") in err
@@ -581,14 +630,8 @@ def test_encoder_header_keys_must_match_config(workspace, tmp_path, change):
     """A checkpoint whose encoder section lacks or adds a key is rejected."""
     cfg_path, out = workspace
     target = _copy_corpus(out, tmp_path / "badheader")
-    raw = (out / "pretrain.ckpt").read_bytes()
-    n = int.from_bytes(raw[8:16], "little")
-    header = json.loads(raw[16 : 16 + n])
-    change(header["encoder"])
-    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    body = raw[:8] + len(head).to_bytes(8, "little") + head + raw[16 + n : -32]
-    # a valid digest, so only the header is at fault
-    (target / "pretrain.ckpt").write_bytes(body + hashlib.sha256(body).digest())
+    _rewrite_header(out / "pretrain.ckpt", lambda h: change(h["encoder"]),
+                    target / "pretrain.ckpt")
     assert _run("finetune", "--config", str(cfg_path),
                 "--out", str(target)) == 5
 

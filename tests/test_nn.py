@@ -25,14 +25,11 @@ def same_bytes(a, b) -> bool:
 # ----------------------------------------------------------------------
 # references
 
-def ref_bn_forward(gamma, beta, rmean, rvar, x, train):
-    if train:
-        mu = x.mean(axis=(0, 2))
-        var = x.var(axis=(0, 2))
-        rmean = (1.0 - MOMENTUM) * rmean + MOMENTUM * mu
-        rvar = (1.0 - MOMENTUM) * rvar + MOMENTUM * var
-    else:
-        mu, var = rmean, rvar
+def ref_bn_forward(gamma, beta, rmean, rvar, x):
+    mu = x.mean(axis=(0, 2))
+    var = x.var(axis=(0, 2))
+    rmean = (1.0 - MOMENTUM) * rmean + MOMENTUM * mu
+    rvar = (1.0 - MOMENTUM) * rvar + MOMENTUM * var
     invstd = 1.0 / np.sqrt(var + EPS)
     xhat = (x - mu[:, None]) * invstd[:, None]
     return gamma[:, None] * xhat + beta[:, None], xhat, invstd, rmean, rvar
@@ -112,7 +109,7 @@ def test_batch_norm_train_matches_reference(shape):
     dy = awkward(rng, shape)
     want_y, want_xhat, want_invstd, want_rm, want_rv = ref_bn_forward(
         params["bn.gamma"], params["bn.beta"], buffers["bn.running_mean"],
-        buffers["bn.running_var"], x, True)
+        buffers["bn.running_var"], x)
     want_dx, want_dg, want_db = ref_bn_backward(params["bn.gamma"], dy,
                                                 want_xhat, want_invstd)
 
@@ -130,25 +127,18 @@ def test_batch_norm_train_matches_reference(shape):
     assert same_bytes(grads["bn.beta"], want_db)
 
 
-def test_batch_norm_eval_matches_reference():
-    rng = np.random.default_rng(0)
-    bn, params, buffers = _bn(6, rng)
-    x = awkward(rng, (3, 6, 17))
-    want = ref_bn_forward(params["bn.gamma"], params["bn.beta"],
-                          buffers["bn.running_mean"], buffers["bn.running_var"],
-                          x, False)[0]
-    before = {k: v.copy() for k, v in buffers.items()}
-    y, _ = bn.forward(params, buffers, x.copy(), False)
-    assert same_bytes(y, want)
-    assert all(same_bytes(buffers[k], before[k]) for k in before)
-
-
-def test_inference_mode_batch_norm_has_no_backward():
+def test_batch_norm_runs_in_training_only():
+    """Inference folds batch norm into the conv before it, so an eval-mode
+    call is a mistake; it leaves input and running statistics alone."""
     rng = np.random.default_rng(1)
     bn, params, buffers = _bn(4, rng)
-    y, cache = bn.forward(params, buffers, rng.normal(size=(2, 4, 5)), False)
-    with pytest.raises(StateError, match="inference-mode"):
-        bn.backward(params, np.ones_like(y), cache, {})
+    x = rng.normal(size=(2, 4, 5))
+    x_before = x.copy()
+    before = {k: v.copy() for k, v in buffers.items()}
+    with pytest.raises(StateError, match="training only"):
+        bn.forward(params, buffers, x, False)
+    assert same_bytes(x, x_before)
+    assert all(same_bytes(buffers[k], before[k]) for k in before)
 
 
 # ----------------------------------------------------------------------
@@ -180,7 +170,7 @@ def test_residual_block_matches_reference():
     def bn_fwd(bn, inp):
         return ref_bn_forward(params[f"{bn.name}.gamma"], params[f"{bn.name}.beta"],
                               buffers[f"{bn.name}.running_mean"],
-                              buffers[f"{bn.name}.running_var"], inp, True)
+                              buffers[f"{bn.name}.running_var"], inp)
 
     ref_buffers = {}
     h1, cc1 = conv_fwd(block.conv1, x)
@@ -224,6 +214,28 @@ def test_residual_block_matches_reference():
     assert grads.keys() == want_grads.keys()
     for key in grads:
         assert same_bytes(grads[key], want_grads[key]), key
+
+
+def test_residual_block_infer_is_forward_without_batch_norm():
+    """On folded tensors a block is conv-ReLU-conv plus the skip conv, then
+    ReLU, through the conv's own forward; nothing else touches the values."""
+    rng = np.random.default_rng(4)
+    block = nn.ResidualBlock("b", 3, 4, 5)
+    tensors = {}
+    block.init(tensors, {}, rng)
+    tensors = {k: rng.normal(size=v.shape) for k, v in tensors.items()
+               if not k.endswith((".gamma", ".beta"))}
+    x = awkward(rng, (2, 3, 21))
+
+    def conv(c, inp):
+        return c.forward(tensors, None, inp, False)[0]
+
+    r1 = conv(block.conv1, x)
+    r1 = r1 * (r1 > 0)
+    pre = conv(block.conv2, r1) + conv(block.skip_conv, x)
+    x_before = x.copy()
+    assert same_bytes(block.infer(tensors, x), pre * (pre > 0))
+    assert same_bytes(x, x_before)
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ from ecgauth.encoder import (
     EncoderConfig,
     build_model,
     encode_signal_batch,
+    fold_signal_encoder,
     init_params,
 )
 from ecgauth.errors import ConfigurationError, InputError, ParameterError
@@ -190,7 +191,8 @@ def test_finetune_zero_epochs_starts_geometry_at_medoids(labeled):
     for k, cid in enumerate(ids):
         windows = np.stack([seg.window for seg, sid in labeled if sid == cid])
         assert np.array_equal(protos[k],
-                              compute_medoid(encode_signal_batch(mp, windows)))
+                              compute_medoid(encode_signal_batch(fold_signal_encoder(mp),
+                                                                 windows)))
 
 
 @pytest.mark.parametrize("epochs", [0, 1, 3])
