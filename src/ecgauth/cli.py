@@ -23,7 +23,7 @@ Exit codes:
   3  missing upstream artifact (run the producing command first)
   4  invalid input data (unreadable record or corpus manifest, malformed values,
      a record or corpus sampled at another rate than the registry was
-     trained at)
+     trained at, a record in which no beat is detected)
   5  corrupt or incompatible checkpoint/registry file
   6  internal state error
 """
@@ -139,8 +139,7 @@ def cmd_auth(cfg, args) -> None:
     segments = segment_beats(record, detect_r_peaks(record),
                              registry.params.input_length // 2)
     if not segments:
-        print("no beats detected", file=sys.stderr)
-        return
+        raise InputError(f"{record_path}: no beats detected")
     for k, (seg, dec) in enumerate(
         zip(segments, authenticate_batch(registry, segments))
     ):

@@ -11,13 +11,16 @@ linear-ReLU-linear, then L2 normalization. The layer graph
 (``DualEncoder.signal_chain``) is the one place that names the signal
 encoder's tensors.
 
-Inference runs a folded copy of the signal encoder (``fold_signal_encoder``):
-each batch norm's running statistics are folded into the conv before it,
-and ``encode_signal_batch`` runs the result through the training layers'
-forward code, one 32-window chunk at a time, with no tape. A window's
-embedding is bit-identical whatever batch or chunk it comes in, and it
-differs from the unfolded eval-mode graph by rounding only. The folded
-tensors are derived, never saved.
+Both entry points hand the conv trunk a ``(1, batch, length)`` array: its
+activations are channel-major (``nn``). A training step runs each conv as
+one GEMM over the whole batch. Inference runs a folded copy of the signal
+encoder (``fold_signal_encoder``): each batch norm's running statistics are
+folded into the conv before it, and ``encode_signal_batch`` runs the result
+through the training layers' forward code, one GEMM per window and one
+32-window chunk at a time, with no tape. A window's embedding is
+bit-identical whatever batch or chunk it comes in, and it differs from the
+unfolded eval-mode graph by rounding only. The folded tensors are derived,
+never saved.
 
 Checkpoints are a single-file container: an 8-byte magic, a JSON header
 (format version, encoder configuration, tensor manifest), the tensors as
@@ -225,7 +228,7 @@ class DualEncoder:
         """Embed (and optionally project) a batch of segments in training
         mode -> (output, tape)."""
         x = self._check_batch(x)
-        h, tape = self.signal_chain.forward(mp.params, mp.buffers, x[:, None, :], True)
+        h, tape = self.signal_chain.forward(mp.params, mp.buffers, x[None, :, :], True)
         proj_tape = None
         if project:
             h, proj_tape = self.signal_proj.forward(mp.params, mp.buffers, h, True)
@@ -391,7 +394,7 @@ def encode_signal_batch(enc: FoldedEncoder, x: np.ndarray) -> np.ndarray:
     out = []
     # an empty batch still makes one pass, so it keeps its (0, embed_dim) shape
     for start in range(0, max(x.shape[0], 1), _ENCODE_CHUNK):
-        h = x[start : start + _ENCODE_CHUNK, None, :]
+        h = x[None, start : start + _ENCODE_CHUNK, :]
         for layer in model.folded_layers:
             if isinstance(layer, nn.ResidualBlock):
                 h = layer.infer(tensors, h)

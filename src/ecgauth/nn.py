@@ -6,6 +6,15 @@ keeps the per-layer caches as a tape and replays them in reverse. Parameters
 and non-trainable buffers (batch-norm running statistics) live in plain
 ``dict[str, np.ndarray]`` keyed by dotted layer names.
 
+Convolutional activations are channel-major, ``(channels, batch, length)``,
+up to ``GlobalAvgPool``, which hands ``Linear`` row vectors ``(batch,
+width)``. In training each conv is one GEMM over the whole batch, and its
+weight gradient is one more, with no operand copied. At inference
+(``train=False``) each conv runs one GEMM per window on that window's own
+columns, as ``Linear`` runs one matrix-vector product per row: BLAS rounds
+a product differently for different widths, and a scored window must not
+depend on the batch it came in.
+
 Batch norm runs in training only, on batch statistics. Inference has no
 batch norm: ``encoder.fold_signal_encoder`` folds each one's running
 statistics into the conv before it, and the folded tensors run through the
@@ -49,41 +58,51 @@ class Conv1d:
         params[f"{self.name}.bias"] = np.zeros(self.c_out)
 
     def forward(self, params, buffers, x, train):
-        b, c, length = x.shape
+        c, b, length = x.shape
         if c != self.c_in:
             raise ShapeError(f"{self.name}: expected {self.c_in} channels, got {c}")
         k, s, p = self.kernel, self.stride, self.pad
         l_out = (length + 2 * p - k) // s + 1
-        xp = np.zeros((b, c, length + 2 * p))
+        xp = np.zeros((c, b, length + 2 * p))
         xp[:, :, p : p + length] = x
-        # im2col in one copy: tap j of this (b, c, k, l_out) view of xp is
-        # xp[:, :, j::s]; the copy is C-contiguous, as the matmuls expect
-        sb, sc, sl = xp.strides
-        taps = np.ndarray((b, c, k, l_out), xp.dtype, xp, 0, (sb, sc, sl, s * sl))
-        cols = np.ascontiguousarray(taps).reshape(b, c * k, l_out)
         w = params[f"{self.name}.weight"].reshape(self.c_out, c * k)
-        y = np.matmul(w, cols)
-        y += params[f"{self.name}.bias"][:, None]
-        return y, (cols, (b, c, length))
+        # im2col in one copy: tap j of a taps view of xp is xp[:, :, j::s];
+        # the copy is C-contiguous, as the matmuls expect
+        sc, sb, sl = xp.strides
+        if train:
+            # one GEMM over the whole batch on (c*k, b*l_out) columns
+            taps = np.ndarray((c, k, b, l_out), xp.dtype, xp, 0, (sc, sl, sb, s * sl))
+            cols = np.ascontiguousarray(taps).reshape(c * k, b, l_out)
+            y = (w @ cols.reshape(c * k, b * l_out)).reshape(self.c_out, b, l_out)
+        else:
+            # one GEMM per window, written into that window's slice of y
+            taps = np.ndarray((b, c, k, l_out), xp.dtype, xp, 0, (sb, sc, sl, s * sl))
+            cols = np.ascontiguousarray(taps).reshape(b, c * k, l_out)
+            y = np.empty((self.c_out, b, l_out))
+            np.matmul(w, cols, out=y.transpose(1, 0, 2))
+        y += params[f"{self.name}.bias"][:, None, None]
+        return y, (cols, (c, b, length))
 
     def backward(self, params, dy, cache, grads):
-        cols, (b, c, length) = cache
+        cols, (c, b, length) = cache
         k, s, p = self.kernel, self.stride, self.pad
         l_out = dy.shape[2]
         w = params[f"{self.name}.weight"].reshape(self.c_out, c * k)
+        dy2 = dy.reshape(self.c_out, b * l_out)
+        # BLAS reads the transposed columns in place: no operand is copied
         _accum(grads, f"{self.name}.weight",
-               np.tensordot(dy, cols, axes=([0, 2], [0, 2])).reshape(self.c_out, c, k))
-        _accum(grads, f"{self.name}.bias", dy.sum(axis=(0, 2)))
-        dcols = np.matmul(w.T, dy).reshape(b, c, k, l_out)
+               (dy2 @ cols.reshape(c * k, b * l_out).T).reshape(self.c_out, c, k))
+        _accum(grads, f"{self.name}.bias", dy2.sum(axis=1))
+        dcols = (w.T @ dy2).reshape(c, k, b, l_out)
         # col2im: output t of tap j read x[j - p + s*t]; reads of the zero
         # padding get no gradient, so only the t that land inside x are added
-        dx = np.zeros((b, c, length))
+        dx = np.zeros((c, b, length))
         for j in range(k):
             t0 = max(0, -((j - p) // s))
             t1 = min(l_out, (length - 1 - j + p) // s + 1)
             if t1 > t0:
                 start = j - p + s * t0
-                dx[:, :, start : start + s * (t1 - t0) : s] += dcols[:, :, j, t0:t1]
+                dx[:, :, start : start + s * (t1 - t0) : s] += dcols[:, j, :, t0:t1]
         return dx
 
 
@@ -112,38 +131,42 @@ class BatchNorm1d:
         if not train:
             raise StateError(f"{self.name}: batch norm runs in training only; "
                              "inference folds it into the conv before it")
+        c = x.shape[0]
+        n = x.size // c
         gamma = params[f"{self.name}.gamma"][:, None]
         beta = params[f"{self.name}.beta"][:, None]
-        mu = x.mean(axis=(0, 2))
-        xhat = x - mu[:, None]
+        # one row per channel, so each reduction runs along a contiguous axis
+        rows = x.reshape(c, n)
+        mu = rows.mean(axis=1)
+        xhat = rows - mu[:, None]
         # the mean squared deviation, as x.var computes it; x is scratch now
-        var = np.square(xhat, out=x).sum(axis=(0, 2)) / (x.shape[0] * x.shape[2])
+        var = np.square(xhat, out=rows).sum(axis=1) / n
         rm, rv = f"{self.name}.running_mean", f"{self.name}.running_var"
         buffers[rm] = (1.0 - _BN_MOMENTUM) * buffers[rm] + _BN_MOMENTUM * mu
         buffers[rv] = (1.0 - _BN_MOMENTUM) * buffers[rv] + _BN_MOMENTUM * var
         invstd = 1.0 / np.sqrt(var + _BN_EPS)
         xhat *= invstd[:, None]
-        np.multiply(gamma, xhat, out=x)
-        x += beta
-        return x, (xhat, invstd)
+        np.multiply(gamma, xhat, out=rows)
+        rows += beta
+        return rows.reshape(x.shape), (xhat, invstd)
 
     def backward(self, params, dy, cache, grads):
         xhat, invstd = cache
-        gamma = params[f"{self.name}.gamma"]
+        shape, (c, n) = dy.shape, xhat.shape
         # dy is left intact: a residual block hands the same dy to two layers
+        dy = dy.reshape(c, n)
         scratch = dy * xhat
-        _accum(grads, f"{self.name}.gamma", scratch.sum(axis=(0, 2)))
-        _accum(grads, f"{self.name}.beta", dy.sum(axis=(0, 2)))
-        dxhat = dy * gamma[:, None]
-        n = dy.shape[0] * dy.shape[2]
-        s1 = dxhat.sum(axis=(0, 2), keepdims=True)
-        s2 = np.multiply(dxhat, xhat, out=scratch).sum(axis=(0, 2), keepdims=True)
-        # (invstd / n) * (n * dxhat - s1 - xhat * s2), written over dxhat
-        dxhat *= n
-        dxhat -= s1
-        dxhat -= np.multiply(xhat, s2, out=scratch)
-        dxhat *= invstd[:, None] / n
-        return dxhat
+        s_dy_xhat = scratch.sum(axis=1)
+        s_dy = dy.sum(axis=1)
+        _accum(grads, f"{self.name}.gamma", s_dy_xhat)
+        _accum(grads, f"{self.name}.beta", s_dy)
+        # (gamma * invstd / n) * (n * dy - sum(dy) - xhat * sum(dy * xhat)),
+        # written over a fresh n * dy
+        dx = dy * n
+        dx -= s_dy[:, None]
+        dx -= np.multiply(xhat, s_dy_xhat[:, None], out=scratch)
+        dx *= (params[f"{self.name}.gamma"] * invstd / n)[:, None]
+        return dx.reshape(shape)
 
 
 class ReLU:
@@ -199,17 +222,17 @@ class Linear:
 
 
 class GlobalAvgPool:
-    """Mean over the length axis: (B, C, L) -> (B, C)."""
+    """Mean over the length axis, back to row vectors: (C, B, L) -> (B, C)."""
 
     def init(self, params, buffers, rng):
         pass
 
     def forward(self, params, buffers, x, train):
-        return x.mean(axis=2), (x.shape[2],)
+        return np.ascontiguousarray(x.mean(axis=2).T), (x.shape[2],)
 
     def backward(self, params, dy, cache, grads):
         (length,) = cache
-        return np.repeat(dy[:, :, None], length, axis=2) / length
+        return np.repeat(dy.T[:, :, None] / length, length, axis=2)
 
 
 class L2Normalize:

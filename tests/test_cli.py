@@ -27,7 +27,7 @@ from ecgauth.encoder import (
 )
 from ecgauth.errors import ConfigurationError, StateError
 from ecgauth.metrics import OPEN
-from ecgauth.signals import IdentityMorphology, synth_ecg, write_record
+from ecgauth.signals import EcgRecord, IdentityMorphology, synth_ecg, write_record
 from ecgauth.training import FinetuneConfig, PretrainConfig
 
 
@@ -599,6 +599,23 @@ def test_record_at_another_sampling_rate_exit_code(workspace, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "500.0 Hz" in captured.err and "250.0 Hz" in captured.err
+
+
+@pytest.mark.parametrize("signal", [
+    lambda t: np.zeros(t.size),  # the detector's integrator peaks at 0
+    lambda t: 0.5 * np.sin(2 * np.pi * 50.0 * t),  # mains hum: no whole window
+], ids=["flat", "mains-50hz"])
+def test_record_without_beats_exit_code(workspace, tmp_path, capsys, signal):
+    """A record in which no beat is found yields no decision: that is a
+    failure the caller must see, not a silent success."""
+    cfg_path, _ = workspace
+    record = tmp_path / "nobeats.ecg"
+    t = np.arange(30 * 250) / 250.0
+    write_record(EcgRecord(samples=signal(t), fs=250.0, subject_id=1), record)
+    assert main(["auth", "--config", str(cfg_path), str(record)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(record) in captured.err and "no beats detected" in captured.err
 
 
 def test_corpus_at_another_sampling_rate_exit_code(workspace, tmp_path, capsys):

@@ -139,16 +139,17 @@ def _unfolded_encoding(mp, x):
 
     def conv_bn(conv, bn, h):
         y = conv.forward(p, None, h, False)[0]
-        xhat = ((y - buf[f"{bn.name}.running_mean"][:, None])
-                / np.sqrt(buf[f"{bn.name}.running_var"] + nn._BN_EPS)[:, None])
-        return p[f"{bn.name}.gamma"][:, None] * xhat + p[f"{bn.name}.beta"][:, None]
+        xhat = ((y - buf[f"{bn.name}.running_mean"][:, None, None])
+                / np.sqrt(buf[f"{bn.name}.running_var"] + nn._BN_EPS)[:, None, None])
+        return (p[f"{bn.name}.gamma"][:, None, None] * xhat
+                + p[f"{bn.name}.beta"][:, None, None])
 
     stem, stem_bn, _, *blocks, _, _ = build_model(mp).signal_chain.layers
-    h = np.maximum(conv_bn(stem, stem_bn, x[:, None, :]), 0.0)
+    h = np.maximum(conv_bn(stem, stem_bn, x[None, :, :]), 0.0)
     for b in blocks:
         main = conv_bn(b.conv2, b.bn2, np.maximum(conv_bn(b.conv1, b.bn1, h), 0.0))
         h = np.maximum(main + conv_bn(b.skip_conv, b.skip_bn, h), 0.0)
-    return h.mean(axis=2) @ p["embed.weight"].T + p["embed.bias"]
+    return h.mean(axis=2).T @ p["embed.weight"].T + p["embed.bias"]
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 32, 300])
@@ -187,22 +188,34 @@ def test_layer_graph_is_shared_per_architecture():
 @pytest.mark.parametrize("kernel,stride", [(1, 1), (1, 2), (3, 1), (7, 2)])
 def test_conv_columns_are_contiguous_shifted_taps(kernel, stride):
     """im2col column block j is the padded input at offset j, every
-    stride-th sample, laid out C-contiguous as in a per-tap copy loop."""
+    stride-th sample, laid out C-contiguous as in a per-tap copy loop:
+    (channel, tap, window, t) in training, for one GEMM over the batch, and
+    (window, channel, tap, t) at inference, for one GEMM per window."""
     conv = nn.Conv1d("c", 3, 5, kernel, stride=stride)
     params = {}
     conv.init(params, {}, np.random.default_rng(0))
     params["c.bias"] += 0.5
-    x = np.random.default_rng(1).normal(size=(2, 3, 11))
-    y, (cols, _) = conv.forward(params, {}, x, False)
-    l_out = y.shape[2]
+    x = np.random.default_rng(1).normal(size=(3, 2, 11))
+    w = params["c.weight"].reshape(5, -1)
     pad = kernel // 2
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
+    l_out = (11 - 1) // stride + 1
     taps = np.stack([xp[:, :, j : j + stride * l_out : stride]
-                     for j in range(kernel)], axis=2).reshape(2, 3 * kernel, l_out)
+                     for j in range(kernel)], axis=1)  # (c, k, b, l_out)
+
+    y, (cols, _) = conv.forward(params, {}, x, True)
+    want_cols = taps.reshape(3 * kernel, 2, l_out)
     assert cols.flags.c_contiguous
-    assert np.array_equal(cols, taps)
-    want = np.matmul(params["c.weight"].reshape(5, -1), taps) + params["c.bias"][:, None]
-    assert np.array_equal(y, want)
+    assert np.array_equal(cols, want_cols)
+    want = (w @ want_cols.reshape(3 * kernel, -1)).reshape(5, 2, l_out)
+    assert np.array_equal(y, want + params["c.bias"][:, None, None])
+
+    y, (cols, _) = conv.forward(params, {}, x, False)
+    want_cols = taps.transpose(2, 0, 1, 3).reshape(2, 3 * kernel, l_out)
+    assert cols.flags.c_contiguous
+    assert np.array_equal(cols, want_cols)
+    want = np.matmul(w, want_cols) + params["c.bias"][:, None]
+    assert np.array_equal(y, want.transpose(1, 0, 2))
 
 
 def test_projection_is_unit_norm():
