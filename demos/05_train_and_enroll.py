@@ -53,8 +53,8 @@ train, val, test = make_splits(corpus)
 tuned, class_ids, prototypes, ft_report = finetune(train, params, cfg.finetune,
                                                    cfg.seed)
 first, last = ft_report.epochs[0].losses, ft_report.epochs[-1].losses
-print(f"finetune: total loss {first['total']:.4f} -> {last['total']:.4f} "
-      f"(proto {last['proto']:.4f})")
+print(f"finetune: prototype loss {first['proto']:.4f} -> {last['proto']:.4f} "
+      f"over {len(ft_report.epochs)} epochs")
 
 for sid, proto in zip(class_ids, prototypes):
     print(f"  identity {sid}: |prototype| {np.linalg.norm(proto):.3f}")

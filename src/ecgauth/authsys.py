@@ -128,13 +128,12 @@ def _config_digest(cfg: FinetuneConfig, seed: int, params: ModelParams) -> str:
 
 
 def enroll(labeled, params: ModelParams, cfg: FinetuneConfig, seed: int,
-           fs: float, validation=None) -> Registry:
+           fs: float, validation) -> Registry:
     """Fine-tune on labeled segments and package a calibrated registry.
 
     ``fs`` is the sampling rate of the records the segments were cut from.
     The threshold is calibrated on ``validation`` (sequence of
-    (BeatSegment, id)) when given, otherwise on the enrollment segments
-    themselves. Deterministic for fixed data, cfg and seed.
+    (BeatSegment, id)). Deterministic for fixed data, cfg and seed.
     """
     tuned, ids, prototypes, _ = finetune(labeled, params, cfg, seed)
     registry = Registry(
@@ -146,9 +145,7 @@ def enroll(labeled, params: ModelParams, cfg: FinetuneConfig, seed: int,
         metadata={"seed": seed,
                   "config_digest": _config_digest(cfg, seed, params)},
     )
-    registry.threshold = calibrate_threshold(
-        registry, validation if validation is not None else labeled
-    )
+    registry.threshold = calibrate_threshold(registry, validation)
     return registry
 
 

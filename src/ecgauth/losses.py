@@ -1,9 +1,9 @@
 """Objectives for contrastive pretraining and identity-geometry fine-tuning.
 
 Two losses are trained: the symmetric cross-modal contrastive loss
-(``PretrainConfig.tau`` is its temperature) and, weighted by
-``FinetuneConfig.beta``, a distance-softmax prototype loss whose prototypes
-start at the per-class medoids. Features are (batch, dim) rows throughout.
+(``PretrainConfig.tau`` is its temperature) and, alone and unweighted in
+fine-tuning, a distance-softmax prototype loss whose prototypes start at the
+per-class medoids. Features are (batch, dim) rows throughout.
 Distances are squared Euclidean except the medoid's, which minimizes the
 sum of plain Euclidean distances.
 

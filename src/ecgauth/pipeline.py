@@ -617,42 +617,42 @@ def open_identity_report(outcome: EvalOutcome) -> dict:
 
 @dataclass
 class AblationRow:
-    """One ablation variant's switches and headline metrics (first ratio)."""
+    """One ablation variant's headline metrics (first ratio)."""
 
     variant: str
-    pretrain: bool
-    prototype: bool
     accuracy: float
     oscr: float
     tnr: float
     far: float
 
 
-ABLATION_VARIANTS = ("full", "no_pretrain", "no_prototype")
+ABLATION_VARIANTS = ("full", "no_pretrain", "no_finetune")
 
 
 def run_ablations(cfg: RunConfig, corpus: Corpus | None = None,
                   pretrained: ModelParams | None = None) -> list[AblationRow]:
-    """Toggle pretraining and the prototype loss off, one at a time.
+    """Skip pretraining or fine-tuning, one at a time.
 
-    Every variant shares the corpus and (where used) the same pretrained
-    weights, so rows differ only in the ablated switch. ``no_prototype``
-    fine-tunes with no objective: its weights stay fixed, only the BatchNorm
-    running statistics move, and it is scored with the medoid prototypes.
-    Metrics are taken at the first configured open-set ratio.
+    Every variant shares the corpus and the calibration, and the two that
+    pretrain share the same pretrained weights, so rows differ only in the
+    skipped stage. ``no_pretrain`` fine-tunes from the seed's initial
+    weights; ``no_finetune`` runs zero fine-tuning epochs, so it is scored
+    with the pretrained weights and the medoid prototypes. Metrics are
+    taken at the first configured open-set ratio.
     """
     if corpus is None:
         corpus = build_corpus(cfg)
     if pretrained is None:
         pretrained, _ = pretrain_stage(corpus, cfg)
+    variants = {
+        "full": (cfg.finetune, pretrained),
+        "no_pretrain": (cfg.finetune, initial_params(cfg)),
+        "no_finetune": (dataclasses.replace(cfg.finetune, epochs=0), pretrained),
+    }
     rows = []
     for variant in ABLATION_VARIANTS:
-        ft = cfg.finetune
-        if variant == "no_prototype":
-            ft = dataclasses.replace(ft, beta=0.0)
-        use_pre = variant != "no_pretrain"
+        ft, params = variants[variant]
         var_cfg = dataclasses.replace(cfg, finetune=ft)
-        params = pretrained if use_pre else initial_params(cfg)
         logger.info("ablation variant %s", variant)
         registry = enroll_stage(corpus, var_cfg, params)
         outcome = evaluate(corpus, var_cfg, registry,
@@ -660,8 +660,6 @@ def run_ablations(cfg: RunConfig, corpus: Corpus | None = None,
         r = outcome.ratios[0]
         rows.append(AblationRow(
             variant=variant,
-            pretrain=use_pre,
-            prototype=ft.beta > 0,
             accuracy=r.accuracy,
             oscr=r.curve.oscr_area,
             tnr=r.tnr,
@@ -671,11 +669,9 @@ def run_ablations(cfg: RunConfig, corpus: Corpus | None = None,
 
 
 def format_ablation_table(rows) -> str:
-    """Ablation study as CSV: one row per variant, switches as 0/1 flags."""
-    lines = ["variant,pretrain,prototype,accuracy,oscr,tnr,far"]
+    """Ablation study as CSV: one row per variant."""
+    lines = ["variant,accuracy,oscr,tnr,far"]
     for r in rows:
-        flags = [int(r.pretrain), int(r.prototype)]
         vals = [r.accuracy, r.oscr, r.tnr, r.far]
-        lines.append(",".join([r.variant] + [str(f) for f in flags]
-                              + [repr(float(v)) for v in vals]))
+        lines.append(",".join([r.variant] + [repr(float(v)) for v in vals]))
     return "\n".join(lines) + "\n"

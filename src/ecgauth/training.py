@@ -5,9 +5,11 @@ contrastive objective over shuffled mini-batches. Fine-tuning drops the
 report branch and the contrastive heads: it copies the signal encoder
 alone, starts one prototype per class at the medoid of its embeddings, and
 jointly updates every signal-encoder weight and the prototypes under the
-weighted prototype loss. The paper's second term, a self-constraint pull
-toward per-epoch medoid centers, was removed: on the train-hard tier it
-moved no open-set metric beyond the seed spread. Each stage takes its own
+prototype loss. The paper's other terms, a self-constraint pull toward
+per-epoch medoid centers and a reciprocal-point repulsion, were removed: on
+the train-hard tier neither moved an open-set metric beyond the seed spread.
+With one term and Adam, a loss weight would cancel, so there is none; the
+no-fine-tuning baseline is ``epochs = 0``. Each stage takes its own
 config (``PretrainConfig``, ``FinetuneConfig``) and the run seed, updates
 by Adam, and is bit-reproducible for a fixed seed.
 """
@@ -66,21 +68,17 @@ class PretrainConfig:
 
 @dataclass(frozen=True)
 class FinetuneConfig:
-    """Fine-tuning: Adam on beta * prototype loss.
+    """Fine-tuning: Adam on the prototype loss.
 
-    beta = 0 leaves no objective: the weights and prototypes stay put and
-    only the BatchNorm running statistics move.
+    epochs = 0 keeps the given weights and the medoid prototypes.
     """
 
     batch_size: int = 32
     epochs: int = 30
     learning_rate: float = 5e-4
-    beta: float = 1.0
 
     def __post_init__(self):
         _check_schedule(self, min_batch=1)
-        if self.beta < 0:
-            raise ParameterError("loss weight beta must be non-negative")
 
 
 @dataclass
@@ -232,9 +230,8 @@ def finetune(labeled, params: ModelParams, cfg: FinetuneConfig, seed: int):
     Works on a copy of ``params``' signal encoder; the pretraining heads
     are left behind. Prototypes start at the class medoids of the initial
     embeddings (the one medoid pass); each mini-batch then applies the
-    weighted prototype loss and updates every signal-encoder weight
-    together with the prototypes. With beta = 0 the loss is skipped
-    outright. Returns (signal-encoder ModelParams, sorted class ids,
+    prototype loss and updates every signal-encoder weight together with
+    the prototypes. Returns (signal-encoder ModelParams, sorted class ids,
     prototypes as an (n_ids, embed_dim) matrix in id order, TrainReport).
     """
     windows, class_ids, class_idx = _group_by_class(labeled)
@@ -254,27 +251,19 @@ def finetune(labeled, params: ModelParams, cfg: FinetuneConfig, seed: int):
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
         perm = rng.permutation(n)
-        sums = {"proto": 0.0, "total": 0.0}
-        seen = 0
+        total, seen = 0.0, 0
         for start in range(0, n, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
-            yb = class_idx[idx]
             feats, tape = model.forward_signal(mp, windows[idx])
-            d_feats = np.zeros_like(feats)
-            geom_grads: dict[str, np.ndarray] = {}
-            l_proto = 0.0
-            if cfg.beta > 0:
-                l_proto, dfp, dp = prototype_loss_grad(feats, yb, protos)
-                d_feats += cfg.beta * dfp
-                geom_grads["geom.protos"] = cfg.beta * dp
+            l_proto, d_feats, d_protos = prototype_loss_grad(
+                feats, class_idx[idx], protos)
             grads = model.backward_signal(mp, d_feats, tape)
             del tape  # free the activations before the next batch's forward pass
-            grads.update(geom_grads)
+            grads["geom.protos"] = d_protos
             opt.step({**mp.params, "geom.protos": protos}, grads)
-            sums["proto"] += l_proto * idx.size
-            sums["total"] += cfg.beta * l_proto * idx.size
+            total += l_proto * idx.size
             seen += idx.size
-        losses = {k: v / seen for k, v in sums.items()}
+        losses = {"proto": total / seen}
         _check_epoch_losses(losses, "finetune")
         report.epochs.append(EpochStats(epoch, losses, time.perf_counter() - t0))
 

@@ -471,7 +471,7 @@ def ablation_rows(experiment):
 def test_ablations_complete_with_comparison_csv(ablation_rows):
     assert {r.variant for r in ablation_rows} == set(pipeline.ABLATION_VARIANTS)
     lines = pipeline.format_ablation_table(ablation_rows).splitlines()
-    assert lines[0] == "variant,pretrain,prototype,accuracy,oscr,tnr,far"
+    assert lines[0] == "variant,accuracy,oscr,tnr,far"
     assert len(lines) == 1 + len(pipeline.ABLATION_VARIANTS)
 
     full = next(r for r in ablation_rows if r.variant == "full")
@@ -491,28 +491,28 @@ def test_ablations_complete_with_comparison_csv(ablation_rows):
 # cannot see a loss term that stops working. The train-hard settings (noise
 # and heart-rate jitter doubled, 4 pretraining and 5 fine-tuning epochs)
 # leave room: at config seed 2, full OSCR is 0.8685, with leads of +0.627
-# over no_pretrain and +0.465 over no_prototype.
-# no_prototype (beta = 0) does not measure the prototype objective. Its
-# weights stay fixed, but its 5 train-mode epochs move the BatchNorm running
-# statistics, and it is scored with the medoid prototypes that finetune took
-# before them, under the pretrained statistics: stale prototypes (seed 2
-# accuracy 0.60). Full's OSCR lead over it on config seeds 2-7 is +0.465,
-# +0.352, +0.278, +0.292, -0.004 and -0.115, so its floor holds at seed 2
-# only. The same beta = 0 registry re-medoided after fine-tuning and
-# re-calibrated scores 0.8131 at seed 2 (accuracy 1.00), and with no
-# fine-tuning at all full leads by +0.097, +0.005, +0.003, -0.005, -0.029
-# and -0.015 on seeds 2-7. So the no_prototype floor guards that artifact,
-# not the prototype loss; the variant is kept as it is (CHANGES.md, the
-# FOUND line on no_prototype). The other floors sit well below the lowest
-# value over seeds 2-7: full OSCR 0.681, full TNR 0.253, and full's OSCR
-# lead of 0.148 over no_pretrain.
+# over no_pretrain and +0.097 over no_finetune.
+# no_finetune is the pretrained weights with the medoid prototypes (zero
+# fine-tuning epochs). Full's OSCR lead over it on config seeds 2-7 is
+# +0.097, +0.005, +0.003, -0.005, -0.029 and -0.015, so no positive floor
+# holds on every seed, and a floor chosen to hold at seed 2 alone would hide
+# the seeds where fine-tuning loses. What held on all six seeds is asserted
+# instead: full's accuracy is at least no_finetune's (1.0/0.9875,
+# 0.975/0.95, 1.0/1.0, 1.0/0.9875, 1.0/0.9375, 1.0/0.9875), and full's OSCR
+# lead is at least -0.05. A registry that stops fitting its prototypes
+# fails both: at seed 2 the old beta = 0 registry (fixed weights, medoid
+# prototypes taken before 5 epochs of BatchNorm statistics moved) scored
+# accuracy 0.60 and OSCR 0.4037.
+# The other floors sit well below the lowest value over seeds 2-7: full
+# OSCR 0.681, full TNR 0.253, and full's OSCR lead of 0.148 over
+# no_pretrain.
 # Floors only, never ceilings, so an improvement always passes.
 # no_pretrain falls back to threshold 0.5 with TNR 1.0, so the variants are
 # compared on OSCR, not TNR.
 
 _HARD_OSCR_FLOOR = 0.50
 _HARD_TNR_FLOOR = 0.10
-_HARD_LEAD_FLOOR = {"no_pretrain": 0.06, "no_prototype": 0.20}
+_HARD_LEAD_FLOOR = {"no_pretrain": 0.06, "no_finetune": -0.05}
 
 
 def test_hard_tier_quality_floors_and_ablation_leads():
@@ -526,17 +526,19 @@ def test_hard_tier_quality_floors_and_ablation_leads():
         open_ratios=(1, 2),
     )
     rows = {r.variant: r for r in pipeline.run_ablations(cfg)}
-    full = rows["full"]
+    full, no_finetune = rows["full"], rows["no_finetune"]
     assert full.oscr >= _HARD_OSCR_FLOOR
     assert full.tnr >= _HARD_TNR_FLOOR
+    assert full.accuracy >= no_finetune.accuracy
     leads = {v: full.oscr - rows[v].oscr for v in _HARD_LEAD_FLOOR}
     for variant, floor in _HARD_LEAD_FLOOR.items():
         assert leads[variant] >= floor, (variant, leads)
     lead_txt = ", ".join(f"{v} {leads[v]:+.4f} >= {f}"
                          for v, f in _HARD_LEAD_FLOOR.items())
     print(f"PASS hard tier: full oscr {full.oscr:.4f} >= {_HARD_OSCR_FLOOR}, "
-          f"tnr {full.tnr:.4f} >= {_HARD_TNR_FLOOR}; oscr lead over "
-          f"{lead_txt}")
+          f"tnr {full.tnr:.4f} >= {_HARD_TNR_FLOOR}, accuracy "
+          f"{full.accuracy:.4f} >= no_finetune {no_finetune.accuracy:.4f}; "
+          f"oscr lead over {lead_txt}")
 
 
 def test_full_pipeline_is_bit_deterministic(experiment):

@@ -64,7 +64,7 @@ def labeled():
 def registry(labeled):
     params = init_params(SMALL_ENC, 2 * HALF, seed=21)
     cfg = FinetuneConfig(batch_size=8, epochs=2, learning_rate=5e-4)
-    return enroll(labeled, params, cfg, 21, 250.0)
+    return enroll(labeled, params, cfg, 21, 250.0, validation=labeled)
 
 
 # ----------------------------------------------------------------------
@@ -73,7 +73,7 @@ def registry(labeled):
 def test_enroll_is_deterministic(labeled, registry):
     params = init_params(SMALL_ENC, 2 * HALF, seed=21)
     cfg = FinetuneConfig(batch_size=8, epochs=2, learning_rate=5e-4)
-    again = enroll(labeled, params, cfg, 21, 250.0)
+    again = enroll(labeled, params, cfg, 21, 250.0, validation=labeled)
     assert again.digest() == registry.digest()
     assert again.ids == [1, 2, 3]
     assert 0.0 < again.threshold < 1.0

@@ -268,7 +268,7 @@ def test_default_config_dict_is_the_plain_run_config():
     assert list(tree["pretrain"]) == [
         "batch_size", "epochs", "learning_rate", "tau"]
     assert list(tree["finetune"]) == [
-        "batch_size", "epochs", "learning_rate", "beta"]
+        "batch_size", "epochs", "learning_rate"]
 
 
 def test_config_sections_match_dataclass_fields():
@@ -319,7 +319,8 @@ _REMOVED_KEYS = [(section, key) for key in ("optimizer", "momentum", "beta1",
                                              "beta2", "eps")
                  for section in ("pretrain", "finetune")]
 _REMOVED_KEYS += [("finetune", "gamma"),  # the reciprocal-point repulsion weight
-                  ("finetune", "alpha")]  # the self-constraint center weight
+                  ("finetune", "alpha"),  # the self-constraint center weight
+                  ("finetune", "beta")]  # the prototype loss weight
 
 
 @pytest.mark.parametrize("section,key", _REMOVED_KEYS,

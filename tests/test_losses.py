@@ -19,7 +19,7 @@ from ecgauth.losses import (
     prototype_prob,
     repulsion_loss_grad,
 )
-from ecgauth.training import FinetuneConfig, PretrainConfig
+from ecgauth.training import PretrainConfig
 
 
 def _fd_check(loss_fn, arrays, grads, h=1e-5, rng=None):
@@ -285,11 +285,8 @@ def test_repulsion_gradients():
 # loss weights
 
 def test_loss_weights_validation():
-    """The loss weights live on the stage configs that use them."""
+    """The one loss weight left is pretraining's temperature; fine-tuning's
+    single term has none."""
     with pytest.raises(ParameterError):
         PretrainConfig(tau=0.0)
-    with pytest.raises(ParameterError):
-        FinetuneConfig(beta=-0.1)
-    FinetuneConfig(beta=0.0)  # the bound is valid
-    ft, pt = FinetuneConfig(), PretrainConfig()
-    assert (ft.beta, pt.tau) == (1.0, 0.07)
+    assert PretrainConfig().tau == 0.07

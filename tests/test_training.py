@@ -59,7 +59,7 @@ def test_train_config_validation():
                 stage(**bad)
         stage(batch_size=min_batch, epochs=0)  # bounds are valid
     assert PretrainConfig() == PretrainConfig(32, 20, 1e-3, 0.07)
-    assert FinetuneConfig() == FinetuneConfig(32, 30, 5e-4, 1.0)
+    assert FinetuneConfig() == FinetuneConfig(32, 30, 5e-4)
 
 
 # ----------------------------------------------------------------------
@@ -117,19 +117,11 @@ def _init_mp(labeled, seed=3):
     return init_params(SMALL_ENC, window_len, seed=seed)
 
 
-def test_finetune_total_is_weighted_sum_of_parts(labeled):
-    cfg = FinetuneConfig(batch_size=8, epochs=2, beta=0.7)
-    _, _, _, report = finetune(labeled, _init_mp(labeled), cfg, 16)
-    for epoch in report.epochs:
-        parts = epoch.losses
-        assert set(parts) == {"proto", "total"}
-        assert parts["total"] == pytest.approx(0.7 * parts["proto"], rel=1e-12)
-
-
 def test_finetune_reduces_total_loss(labeled):
     cfg = FinetuneConfig(batch_size=8, epochs=5, learning_rate=5e-4)
     _, _, _, report = finetune(labeled, _init_mp(labeled), cfg, 4)
-    assert report.epochs[-1].losses["total"] < report.epochs[0].losses["total"]
+    assert all(set(e.losses) == {"proto"} for e in report.epochs)
+    assert report.epochs[-1].losses["proto"] < report.epochs[0].losses["proto"]
     assert report.stage == "finetune"
 
 
@@ -156,21 +148,6 @@ def test_finetune_only_updates_signal_branch(labeled):
         assert not np.array_equal(before[key], after.params[key]), key
     # the input is never mutated
     assert all(np.array_equal(before[k], mp.params[k]) for k in before)
-
-
-def test_finetune_zero_beta_still_runs(labeled):
-    """With no objective the weights and the medoid prototypes stay put;
-    only the BatchNorm running statistics move."""
-    mp = _init_mp(labeled)
-    cfg = FinetuneConfig(batch_size=8, epochs=1, beta=0.0)
-    tuned, ids, protos, report = finetune(labeled, mp, cfg, 12)
-    _, _, medoids, _ = finetune(labeled, mp, FinetuneConfig(epochs=0), 12)
-    assert report.epochs[0].losses == {"proto": 0.0, "total": 0.0}
-    assert ids == [1, 2, 3]
-    assert protos.tobytes() == medoids.tobytes()
-    assert all(np.array_equal(tuned.params[k], mp.params[k]) for k in tuned.params)
-    assert any(not np.array_equal(tuned.buffers[k], mp.buffers[k])
-               for k in tuned.buffers)
 
 
 def test_finetune_rejects_thin_classes(labeled):
