@@ -7,7 +7,8 @@ identical bytes. Verbosity is controlled by the ``ECGAUTH_LOG`` environment
 variable (debug/info/warning/error; default warning).
 
 Artifacts under the output directory:
-  corpus/            per-identity record files + manifest.json   (synth)
+  corpus/            per-identity float64 sample files + manifest.json
+                     with each file's SHA-256                     (synth)
   pretrain.ckpt      signal encoder plus pretraining heads        (pretrain)
   registry.reg       fine-tuned signal encoder alone, prototypes,
                      threshold, fs                                (finetune)
@@ -21,9 +22,10 @@ Exit codes:
   1  unexpected failure
   2  invalid configuration or command line
   3  missing upstream artifact (run the producing command first)
-  4  invalid input data (unreadable record or corpus manifest, malformed values,
-     a record or corpus sampled at another rate than the registry was
-     trained at, a record in which no beat is detected)
+  4  invalid input data (unreadable record or corpus manifest, a corpus record
+     that does not match its SHA-256, malformed values, a record or corpus
+     sampled at another rate than the registry was trained at, a record in
+     which no beat is detected)
   5  corrupt or incompatible checkpoint/registry file
   6  internal state error
 """

@@ -5,11 +5,18 @@ train/validation/test splits, signal--report pretraining pairs, the stages
 (``pretrain_stage``, ``enroll_stage``, ``evaluate``), the open-set ratio
 sweep, and the ablation study. The CLI is a thin shell over these
 functions; tests and demo scripts chain the same stages in memory.
+
+On disk, a corpus is one raw little-endian float64 file per identity plus a
+manifest that holds the sampling rate and each file's SHA-256
+(``write_corpus``/``load_corpus``). It is written by ``synth`` and read only
+by the stages, so it is stored in the form they read; the text record
+format in ``signals`` is the ``auth`` ingestion format.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import logging
 import math
@@ -40,11 +47,9 @@ from .signals import (
     IdentityMorphology,
     detect_r_peaks,
     extract_fiducials,
-    read_record,
     render_report,
     segment_beats,
     synth_ecg,
-    write_record,
 )
 from .training import FinetuneConfig, PretrainConfig, TrainReport, pretrain
 
@@ -311,19 +316,27 @@ def build_corpus(cfg: RunConfig) -> Corpus:
 
 
 def _record_filename(subject_id: int) -> str:
-    return f"id_{subject_id:04d}.ecg"
+    return f"id_{subject_id:04d}.f64"
 
 
 def write_corpus(cfg: RunConfig, corpus_dir) -> Path:
-    """Write per-identity record files plus manifest.json; returns the dir."""
+    """Write one record file per identity plus manifest.json; returns the dir.
+
+    A record file holds the identity's samples as raw little-endian float64
+    and nothing else. The manifest carries ``fs``, each id's file name
+    (``records``) and the SHA-256 of each file's bytes (``sha256``).
+    """
     corpus_dir = Path(corpus_dir)
     corpus_dir.mkdir(parents=True, exist_ok=True)
     spec = cfg.corpus
-    records = {}
+    records, digests = {}, {}
     for sid in enrolled_ids(spec) + open_ids(spec):
         name = _record_filename(sid)
-        write_record(synth_identity(cfg, sid), corpus_dir / name)
+        payload = synth_identity(cfg, sid).samples.astype("<f8").tobytes()
+        with atomic_open(corpus_dir / name, "wb") as fh:
+            fh.write(payload)
         records[str(sid)] = name
+        digests[str(sid)] = hashlib.sha256(payload).hexdigest()
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "seed": cfg.seed,
@@ -333,6 +346,7 @@ def write_corpus(cfg: RunConfig, corpus_dir) -> Path:
         "enrolled_ids": enrolled_ids(spec),
         "open_ids": open_ids(spec),
         "records": records,
+        "sha256": digests,
     }
     with atomic_open(corpus_dir / "manifest.json", encoding="utf-8") as fh:
         fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
@@ -340,10 +354,43 @@ def write_corpus(cfg: RunConfig, corpus_dir) -> Path:
     return corpus_dir
 
 
+def _bare_name(name) -> str:
+    """``name`` if it names a file in the corpus directory itself."""
+    if (not isinstance(name, str) or name in ("", "..") or "\0" in name
+            or Path(name).name != name):
+        raise ValueError(f"record file {name!r} is not a bare file name")
+    return name
+
+
+def _read_corpus_record(path: Path, digest: str, fs: float,
+                        subject_id: int) -> EcgRecord:
+    """One record file, checked against its manifest digest and decoded."""
+    try:
+        raw = path.read_bytes()
+    except FileNotFoundError:
+        raise DependencyError(f"missing record file: {path}") from None
+    if hashlib.sha256(raw).hexdigest() != digest:
+        raise InputError(f"record file {path} does not match its SHA-256 in "
+                         "the corpus manifest")
+    if len(raw) % 8:
+        raise InputError(f"record file {path} holds {len(raw)} bytes, not a "
+                         "whole number of float64 samples")
+    try:
+        return EcgRecord(samples=np.frombuffer(raw, "<f8").copy(), fs=fs,
+                         subject_id=subject_id)
+    except InputError as exc:
+        raise InputError(f"record file {path}: {exc}") from None
+
+
 def load_corpus(corpus_dir, include_open: bool = True) -> Corpus:
     """Load a written corpus; beat segments are re-derived (deterministic).
 
-    The whole manifest is always parsed and checked. With
+    The whole manifest is always parsed and checked: each record is listed
+    by a bare file name in ``corpus_dir`` and with its SHA-256. A manifest
+    without digests (a text corpus of an earlier version) is rejected with a
+    hint to re-run ``ecgauth synth``. Each record file read must match its
+    digest and hold a non-empty, finite trace; its ``fs`` comes from the
+    manifest and its subject from the manifest key. With
     ``include_open=False`` the open identities' record files are not read
     and the corpus' ``open_set`` is None. The training stages use only the
     enrolled records, so a damaged open record is reported by evaluation.
@@ -355,9 +402,17 @@ def load_corpus(corpus_dir, include_open: bool = True) -> Corpus:
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         fs = float(manifest["fs"])
+        if not (math.isfinite(fs) and fs > 0):
+            raise ValueError(f"fs must be a positive finite number, got {fs!r}")
         half_window = int(manifest["half_window"])
-        enrolled_paths, open_paths = [
-            {sid: corpus_dir / manifest["records"][str(sid)]
+        if "sha256" not in manifest:
+            raise InputError(
+                f"corpus manifest {manifest_path} lists no record digests: the "
+                "corpus was written by an earlier version in the text format; "
+                "re-run `ecgauth synth`")
+        enrolled_files, open_files = [
+            {sid: (corpus_dir / _bare_name(manifest["records"][str(sid)]),
+                   manifest["sha256"][str(sid)])
              for sid in sorted(int(s) for s in manifest[key])}
             for key in ("enrolled_ids", "open_ids")
         ]
@@ -367,16 +422,13 @@ def load_corpus(corpus_dir, include_open: bool = True) -> Corpus:
                          f"({type(exc).__name__}: {exc})") from exc
 
     def load_split(split: dict) -> dict[int, IdentityData]:
-        out = {}
-        for sid, rec_path in split.items():
-            if not rec_path.exists():
-                raise DependencyError(f"missing record file: {rec_path}")
-            out[sid] = _identity_data(read_record(rec_path), half_window)
-        return out
+        return {sid: _identity_data(_read_corpus_record(path, digest, fs, sid),
+                                    half_window)
+                for sid, (path, digest) in split.items()}
 
     return Corpus(fs=fs, half_window=half_window,
-                  enrolled=load_split(enrolled_paths),
-                  open_set=load_split(open_paths) if include_open else None)
+                  enrolled=load_split(enrolled_files),
+                  open_set=load_split(open_files) if include_open else None)
 
 
 # ----------------------------------------------------------------------

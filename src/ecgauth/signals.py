@@ -6,8 +6,11 @@ rate. Synthetic identities are parameterized as five Gaussian bumps per beat
 noise; the generator keeps exact ground-truth R positions, which downstream
 tests use as a detection oracle.
 
-Record file format: a one-line header ``fs=<Hz>,subject=<id>`` followed by one
-sample (mV, decimal) per line. Parse failures report 1-based line numbers.
+Record file format, the one ``ecgauth auth`` ingests: a one-line header
+``fs=<Hz>,subject=<id>`` followed by one sample (mV, decimal) per line. Parse
+failures report 1-based line numbers. The synthesized corpus is not stored in
+this format: ``pipeline.write_corpus`` writes raw float64 files checked by
+SHA-256.
 """
 
 from __future__ import annotations
@@ -469,7 +472,7 @@ def segment_beats(
 def write_record(record: EcgRecord, path) -> None:
     """Write a record in the text ingestion format (header plus one mV/line)."""
     lines = [f"fs={record.fs!r},subject={record.subject_id}"]
-    lines.extend(repr(float(v)) for v in record.samples)
+    lines.extend(map(repr, record.samples.tolist()))
     with atomic_open(path, encoding="ascii") as fh:
         fh.write("\n".join(lines))
         fh.write("\n")

@@ -80,6 +80,16 @@ def workspace(tmp_path_factory):
     return cfg_path, out_dir
 
 
+@pytest.fixture(scope="module")
+def text_record(workspace, tmp_path_factory):
+    """Identity 1's corpus samples in the text format that ``auth`` reads."""
+    cfg_path, _ = workspace
+    path = tmp_path_factory.mktemp("records") / "id_0001.ecg"
+    write_record(pipeline.synth_identity(pipeline.config_from_path(cfg_path), 1),
+                 path)
+    return path
+
+
 # ----------------------------------------------------------------------
 # artifacts
 
@@ -179,10 +189,9 @@ def test_synth_rewrites_identical_bytes(workspace):
     assert _tree_digest(out / "corpus") == before
 
 
-def test_auth_reports_each_beat(workspace, capsys):
-    cfg_path, out = workspace
-    record = out / "corpus" / "id_0001.ecg"
-    assert main(["auth", "--config", str(cfg_path), str(record)]) == 0
+def test_auth_reports_each_beat(workspace, text_record, capsys):
+    cfg_path, _ = workspace
+    assert main(["auth", "--config", str(cfg_path), str(text_record)]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
     assert len(lines) >= 20  # 24 beats minus any window-boundary drops
     pattern = re.compile(
@@ -192,10 +201,10 @@ def test_auth_reports_each_beat(workspace, capsys):
     assert all(pattern.match(line) for line in lines)
 
 
-def test_auth_segments_with_the_registry_window(workspace, tmp_path):
+def test_auth_segments_with_the_registry_window(workspace, text_record,
+                                                tmp_path):
     """The beat window comes from the registry, not from corpus.half_window."""
-    cfg_path, out = workspace
-    record = out / "corpus" / "id_0001.ecg"
+    cfg_path, _ = workspace
     doc = json.loads(cfg_path.read_text())
     doc["corpus"]["half_window"] += 25
     other = tmp_path / "other_window.json"
@@ -204,7 +213,7 @@ def test_auth_segments_with_the_registry_window(workspace, tmp_path):
     for path in (cfg_path, other):
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            assert main(["auth", "--config", str(path), str(record)]) == 0
+            assert main(["auth", "--config", str(path), str(text_record)]) == 0
         printed.append(buf.getvalue())
     assert printed[0] == printed[1] and printed[0].startswith("beat=0 ")
 
@@ -400,20 +409,73 @@ def test_missing_corpus_exit_code(workspace, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("change", [
-    lambda m: m.pop("half_window"),
-    lambda m: m["open_ids"].append(99),  # no record file listed for id 99
-    lambda m: m.update(fs="fast"),
-], ids=["missing-key", "unlisted-id", "bad-value"])
+    lambda m, _: m.pop("half_window"),
+    lambda m, _: m["open_ids"].append(99),  # no record file listed for id 99
+    lambda m, _: m.update(fs="fast"),
+    # an intact record file with its digest, but outside the corpus directory
+    lambda m, _: m["records"].update({"1": "../id_0001.f64"}),
+    lambda m, corpus: m["records"].update({"1": str(corpus.parent / "id_0001.f64")}),
+], ids=["missing-key", "unlisted-id", "bad-value", "parent-dir", "absolute-path"])
 def test_malformed_manifest_exit_code(workspace, tmp_path, capsys, change):
     cfg_path, out = workspace
     target = _copy_corpus(out, tmp_path / "badmanifest")
+    shutil.copy(target / "corpus" / "id_0001.f64", target)
     manifest_path = target / "corpus" / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    change(manifest)
+    change(manifest, target / "corpus")
     manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
     code = main(["pretrain", "--config", str(cfg_path), "--out", str(target)])
     assert code == 4
     assert "manifest" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload", [
+    None,  # the written samples with one byte flipped: still finite samples
+    b"\x00" * 7,
+    b"",
+    np.array([np.nan]).tobytes(),
+], ids=["flipped-byte", "7-bytes", "0-bytes", "nan"])
+def test_damaged_corpus_record_exit_code(workspace, tmp_path, capsys, payload):
+    """An enrolled record that does not match its manifest digest is not
+    trained on; one whose digest was re-sealed by hand must still hold a
+    non-empty, finite float64 trace."""
+    cfg_path, out = workspace
+    target = _copy_corpus(out, tmp_path / "badrecord")
+    record = target / "corpus" / "id_0001.f64"
+    if payload is None:
+        raw = bytearray(record.read_bytes())
+        raw[100] ^= 0x01
+        record.write_bytes(raw)
+    else:
+        record.write_bytes(payload)
+        manifest_path = target / "corpus" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["sha256"]["1"] = hashlib.sha256(payload).hexdigest()
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    assert main(["pretrain", "--config", str(cfg_path), "--out", str(target)]) == 4
+    err = capsys.readouterr().err
+    assert str(record) in err and "Traceback" not in err
+    assert not (target / "pretrain.ckpt").exists()
+
+
+def test_text_corpus_of_an_earlier_version_exit_code(workspace, tmp_path, capsys):
+    """A corpus written before the digests, as text records with no
+    ``sha256`` map, is rejected with the way out."""
+    cfg_path, out = workspace
+    cfg = pipeline.config_from_path(cfg_path)
+    target = _copy_corpus(out, tmp_path / "textcorpus")
+    manifest_path = target / "corpus" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    del manifest["sha256"]
+    for sid in manifest["records"]:
+        name = f"id_{int(sid):04d}.ecg"
+        write_record(pipeline.synth_identity(cfg, int(sid)), target / "corpus" / name)
+        manifest["records"][sid] = name
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    assert main(["pretrain", "--config", str(cfg_path), "--out", str(target)]) == 4
+    err = capsys.readouterr().err
+    assert str(manifest_path) in err and "Traceback" not in err
+    assert "re-run `ecgauth synth`" in err
 
 
 def _rewrite_header(path, change, dest):
@@ -502,7 +564,8 @@ _BAD_DIMS = {"float-dim": 16.0, "bool-dim": True, "negative-dim": -16}
 @pytest.mark.parametrize("damage", ["narrow", "non-finite", "reciprocal-layout",
                                     "old-layout", "swapped-groups", "weird-group",
                                     "unnamed", *_BAD_DIMS])
-def test_invalid_registry_tensors_exit_code(workspace, tmp_path, capsys, damage):
+def test_invalid_registry_tensors_exit_code(workspace, text_record, tmp_path,
+                                            capsys, damage):
     """Prototypes that cannot score the encoder's embeddings, tensors that
     authentication never reads, a trainable tensor listed as a buffer, or a
     manifest entry in no known group, without a name or with a dimension
@@ -539,9 +602,8 @@ def test_invalid_registry_tensors_exit_code(workspace, tmp_path, capsys, damage)
     elif damage in _BAD_DIMS:
         _rewrite_header(path, lambda h: h["manifest"][0].update(
             shape=[_BAD_DIMS[damage]]), path)
-    record = out / "corpus" / "id_0001.ecg"
     assert main(["auth", "--config", str(cfg_path), "--out", str(target),
-                 str(record)]) == 5
+                 str(text_record)]) == 5
     err = capsys.readouterr().err
     assert "registry.reg" in err and "Traceback" not in err
     if damage == "weird-group":
@@ -566,8 +628,8 @@ def test_invalid_registry_tensors_exit_code(workspace, tmp_path, capsys, damage)
 
 @pytest.mark.parametrize("fs", [None, float("nan"), float("inf"), 0.0, -250.0],
                          ids=["missing", "nan", "infinite", "zero", "negative"])
-def test_invalid_registry_sampling_rate_exit_code(workspace, tmp_path, capsys,
-                                                  fs):
+def test_invalid_registry_sampling_rate_exit_code(workspace, text_record,
+                                                  tmp_path, capsys, fs):
     """A registry must say, as a positive finite number, which sampling rate
     its encoder was trained at."""
     cfg_path, out = workspace
@@ -580,9 +642,8 @@ def test_invalid_registry_sampling_rate_exit_code(workspace, tmp_path, capsys,
         metadata["fs"] = fs
     save_container(target / "registry.reg", "registry", good.params,
                    {"registry.prototypes": good.prototypes}, metadata)
-    record = out / "corpus" / "id_0001.ecg"
     assert main(["auth", "--config", str(cfg_path), "--out", str(target),
-                 str(record)]) == 5
+                 str(text_record)]) == 5
     err = capsys.readouterr().err
     assert "registry.reg" in err and "Traceback" not in err
 
@@ -684,10 +745,10 @@ def test_missing_record_exit_code(workspace):
     assert _run("auth", "--config", str(cfg_path), "/nonexistent.ecg") == 4
 
 
-def test_corrupt_record_exit_code(workspace, tmp_path):
-    cfg_path, out = workspace
+def test_corrupt_record_exit_code(workspace, text_record, tmp_path):
+    cfg_path, _ = workspace
     mangled = tmp_path / "mangled.ecg"
-    lines = (out / "corpus" / "id_0001.ecg").read_text().split("\n")
+    lines = text_record.read_text().split("\n")
     lines[3] = "0.1x2"
     mangled.write_text("\n".join(lines), encoding="utf-8")
     assert _run("auth", "--config", str(cfg_path), str(mangled)) == 4

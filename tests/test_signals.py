@@ -335,6 +335,10 @@ def test_record_file_is_byte_stable(tmp_path):
     write_record(rec, a)
     write_record(rec, b)
     assert a.read_bytes() == b.read_bytes()
+    # the per-sample reference: each value's shortest round-trip repr
+    lines = [f"fs={rec.fs!r},subject={rec.subject_id}"]
+    lines += [repr(float(v)) for v in rec.samples]
+    assert a.read_text(encoding="ascii") == "\n".join(lines) + "\n"
 
 
 def test_read_record_matches_per_line_reference(tmp_path):
