@@ -6,6 +6,14 @@ rate. Synthetic identities are parameterized as five Gaussian bumps per beat
 noise; the generator keeps exact ground-truth R positions, which downstream
 tests use as a detection oracle.
 
+The R-peak detector needs numpy only. Its zero-phase 5-15 Hz band-pass is
+scipy's ``filtfilt`` over ``butter(2, [5, 15], btype="band", fs=fs)``,
+reproduced here: the coefficients bit for bit, the filtered trace to float64
+rounding (an FFT convolution replaces the recursion). Its candidate picker
+is ``find_peaks(x, distance=d)``, index for index. A record must cover at
+least 1 s and be sampled above 30 Hz, twice the band's top edge; a flat
+trace has no beats.
+
 Record file format, the one ``ecgauth auth`` ingests: a one-line header
 ``fs=<Hz>,subject=<id>`` followed by one sample (mV, decimal) per line. Parse
 failures report 1-based line numbers. The synthesized corpus is not stored in
@@ -20,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import butter, filtfilt, find_peaks
 
 from .atomic import atomic_open
 from .errors import InputError, ParameterError, RecordParseError
@@ -39,6 +46,18 @@ _BUMP_EXTENT_SIGMAS = 6.0
 # The tail is longer so the final T wave is never clipped.
 _LEAD_S = 0.6
 _TAIL_S = 1.0
+
+# Pass band of the detector's filter in Hz: it isolates QRS energy from P/T
+# waves and baseline drift. A record must be sampled above twice its top.
+_QRS_BAND_HZ = (5.0, 15.0)
+
+# Samples of odd extension at each end before filtering: filtfilt's default,
+# 3 * 5 for a 5-coefficient filter.
+_FILTER_PAD = 15
+
+# The filter's impulse response is cut where its slowest pole's envelope
+# falls below this; at 1000 Hz that is about 3.3k samples.
+_RESPONSE_TAIL = 1e-19
 
 _REPORT_TEMPLATE = (
     "The R-wave Peak Positions of the ECG signal are located at: {peaks}. "
@@ -257,10 +276,12 @@ def synth_ecg(
         rel1 = math.floor((off + _BUMP_EXTENT_SIGMAS * width) * fs)
         rel = np.arange(rel0, rel1 + 1)
         values = amp * np.exp(-((rel / fs - off) ** 2) / (2.0 * width * width))
-        for p in peaks:
-            idx = p + rel
-            inside = (idx >= 0) & (idx < n)
-            x[idx[inside]] += values[inside]
+        # one (beats, bump width) index grid; np.add.at adds it row by row,
+        # so overlapping bumps reach each sample in beat order, as a loop
+        # over beats would add them
+        idx = peaks[:, None] + rel
+        inside = (idx >= 0) & (idx < n)
+        np.add.at(x, idx[inside], np.broadcast_to(values, idx.shape)[inside])
     if morph.noise_std_mv > 0:
         x += rng.normal(0.0, morph.noise_std_mv, n)
 
@@ -268,18 +289,129 @@ def synth_ecg(
 
 
 @functools.lru_cache(maxsize=8)
-def _bandpass_coefficients(fs: float) -> tuple[np.ndarray, np.ndarray]:
-    # 5-15 Hz passband isolates QRS energy from P/T waves and baseline drift.
-    # Every caller shares the cached arrays, so they are read-only.
-    b, a = butter(2, [5.0, 15.0], btype="band", fs=fs)
-    b.setflags(write=False)
-    a.setflags(write=False)
-    return b, a
+def _bandpass_design(fs: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The detector's band-pass filter at ``fs``: (b, a, impulse response).
+
+    b and a are the second-order Butterworth band-pass over
+    :data:`_QRS_BAND_HZ`, designed as ``scipy.signal.butter(2, band,
+    btype="band", fs=fs)`` designs it, step for step and in the same
+    floating-point order, so the coefficients are bit-equal to scipy's. The
+    impulse response runs until the envelope of the slowest pole has fallen
+    below :data:`_RESPONSE_TAIL`. Every caller shares the cached arrays, so
+    they are read-only.
+    """
+    # band edges as fractions of Nyquist, pre-warped for a bilinear
+    # transform at a normalized sampling rate of 2
+    wn = np.asarray(_QRS_BAND_HZ) / (fs / 2)
+    warped = 2 * 2.0 * np.tan(np.pi * wn / 2.0)
+    bw = float(warped[1] - warped[0])
+    wo = float(np.sqrt(warped[0] * warped[1]))
+    # analog low-pass prototype: two poles on the unit circle, gain 1
+    p = -np.exp(1j * np.pi * np.array([-1.0, 1.0]) / 4)
+    # low-pass to band-pass: each pole splits in two, two zeros at s = 0
+    p = p * bw / 2
+    p = np.concatenate((p + np.sqrt(p**2 - wo**2), p - np.sqrt(p**2 - wo**2)))
+    z = np.zeros(2, dtype=np.complex128)
+    k = bw**2
+    # bilinear transform; the two zeros at infinity move to z = -1
+    z_d = np.concatenate(((4.0 + z) / (4.0 - z), -np.ones(2)))
+    p_d = (4.0 + p) / (4.0 - p)
+    k_d = k * np.real(np.prod(4.0 - z) / np.prod(4.0 - p))
+    # roots in conjugate pairs multiply out to real coefficients
+    b = k_d * np.poly(z_d).real
+    a = np.poly(p_d).real
+
+    # direct-form recursion on a unit impulse
+    length = math.ceil(math.log(_RESPONSE_TAIL) / math.log(np.abs(p_d).max()))
+    b0, b1, b2, b3, b4 = b.tolist()
+    _, a1, a2, a3, a4 = a.tolist()
+    drive = [b0, b1, b2, b3, b4] + [0.0] * (length - 5)
+    h = []
+    h1 = h2 = h3 = h4 = 0.0
+    for v in drive:
+        v = v - a1 * h1 - a2 * h2 - a3 * h3 - a4 * h4
+        h.append(v)
+        h1, h2, h3, h4 = v, h1, h2, h3
+    h = np.asarray(h)
+    for arr in (b, a, h):
+        arr.setflags(write=False)
+    return b, a, h
+
+
+def _fft_size(n: int) -> int:
+    """The smallest 5-smooth integer >= n (2^i 3^j 5^k: fast FFT sizes)."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << ((n - 1) // p35).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+# One spectrum per (fs, FFT size): records of similar length share a size.
+@functools.lru_cache(maxsize=32)
+def _response_spectrum(fs: float, nfft: int) -> np.ndarray:
+    return np.fft.rfft(_bandpass_design(fs)[2], nfft)
 
 
 def _bandpass(x: np.ndarray, fs: float) -> np.ndarray:
-    b, a = _bandpass_coefficients(fs)
-    return filtfilt(b, a, x)
+    """Zero-phase band-pass: scipy's ``filtfilt(b, a, x)``.
+
+    As in filtfilt, x is extended at each end by an odd reflection of
+    :data:`_FILTER_PAD` samples and filtered forward, then backward, each
+    pass starting in the steady state of its first input, as if that value
+    had been held forever. Each pass is one circular FFT convolution with
+    the impulse response (the backward pass with its time reverse) over a
+    buffer that holds the pass's first input past the extended trace: the
+    forward pass wraps around into it, the backward pass runs on into it.
+    The output differs from scipy's recursion by rounding, at most 2e-11 of
+    its peak at 1000 Hz and less at lower rates.
+    """
+    h = _bandpass_design(fs)[2]
+    pad = _FILTER_PAD
+    ext = np.concatenate((2 * x[0] - x[pad:0:-1], x, 2 * x[-1] - x[-2:-pad - 2:-1]))
+    m = ext.size
+    nfft = _fft_size(m + h.size - 1)
+    spectrum = _response_spectrum(fs, nfft)
+    buf = np.empty(nfft)
+    buf[:m] = ext
+    buf[m:] = ext[0]
+    y = np.fft.irfft(np.fft.rfft(buf) * spectrum, nfft)[:m]
+    buf[:m] = y
+    buf[m:] = y[-1]
+    y = np.fft.irfft(np.fft.rfft(buf) * spectrum.conj(), nfft)[:m]
+    return y[pad:-pad]
+
+
+def _find_peaks(x: np.ndarray, distance: float) -> np.ndarray:
+    """Indices of x's local maxima, kept tallest first ``distance`` apart.
+
+    ``scipy.signal.find_peaks(x, distance=distance)[0]``: a maximum is a
+    sample or a flat run of equal samples with a lower neighbour on each
+    side, reported at the run's midpoint (rounded down); neither end of x
+    can be one. Then, from the tallest maximum down, each one still kept
+    removes every other maximum closer than ``ceil(distance)`` samples.
+    Equal heights are taken in ``np.argsort`` order, as scipy takes them.
+    """
+    # one entry per run of equal values
+    starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
+    ends = np.append(starts[1:] - 1, x.size - 1)
+    v = x[starts]
+    r = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1
+    peaks = (starts[r] + ends[r]) // 2
+
+    d = math.ceil(distance)
+    lo = np.searchsorted(peaks, peaks - d, side="right").tolist()
+    hi = np.searchsorted(peaks, peaks + d, side="left").tolist()
+    keep = [True] * peaks.size
+    for j in np.argsort(x[peaks])[::-1].tolist():
+        if keep[j]:
+            keep[lo[j]:j] = [False] * (j - lo[j])
+            keep[j + 1:hi[j]] = [False] * (hi[j] - j - 1)
+    return peaks[np.asarray(keep, dtype=bool)]
 
 
 def detect_r_peaks(record: EcgRecord) -> np.ndarray:
@@ -288,10 +420,11 @@ def detect_r_peaks(record: EcgRecord) -> np.ndarray:
     An adaptive signal/noise threshold with a 200 ms refractory period selects
     candidate energy peaks; each accepted candidate is refined to the raw
     signal's local maximum within +/- 50 ms. The result is strictly increasing
-    with gaps of at least 200 ms.
+    with gaps of at least 200 ms. A flat trace has no beats.
 
     Args:
-        record: input trace; must cover at least one second.
+        record: input trace; must cover at least one second, sampled above
+            30 Hz (twice the filter's 15 Hz band edge).
 
     Returns:
         int64 array of R sample indices (possibly empty).
@@ -299,19 +432,22 @@ def detect_r_peaks(record: EcgRecord) -> np.ndarray:
     x = record.samples
     fs = record.fs
     n = x.size
+    if fs <= 2 * _QRS_BAND_HZ[1]:
+        raise InputError(f"R-peak detection needs a sampling rate above "
+                         f"{2 * _QRS_BAND_HZ[1]:g} Hz, got {fs:g} Hz")
     if n < fs:
         raise InputError("R-peak detection needs at least 1 s of signal")
+    if x.min() == x.max():
+        return np.empty(0, dtype=np.int64)
 
     band = _bandpass(x, fs)
     deriv = np.diff(band, prepend=band[:1])
     energy = deriv * deriv
     win = max(1, int(round(0.15 * fs)))
     integ = np.convolve(energy, np.full(win, 1.0 / win), mode="same")
-    if integ.max() <= 0.0:
-        return np.empty(0, dtype=np.int64)
 
     refractory = max(1, int(round(0.2 * fs)))
-    cands, _ = find_peaks(integ, distance=refractory)
+    cands = _find_peaks(integ, refractory)
     if cands.size == 0:
         return np.empty(0, dtype=np.int64)
 

@@ -666,7 +666,8 @@ def test_record_at_another_sampling_rate_exit_code(workspace, tmp_path, capsys):
 @pytest.mark.parametrize("signal", [
     lambda t: np.zeros(t.size),  # the detector's integrator peaks at 0
     lambda t: 0.5 * np.sin(2 * np.pi * 50.0 * t),  # mains hum: no whole window
-], ids=["flat", "mains-50hz"])
+    lambda t: np.full(t.size, 5.0),  # constant: filter rounding noise only
+], ids=["flat", "mains-50hz", "constant-5mv"])
 def test_record_without_beats_exit_code(workspace, tmp_path, capsys, signal):
     """A record in which no beat is found yields no decision: that is a
     failure the caller must see, not a silent success."""

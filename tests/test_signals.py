@@ -1,8 +1,16 @@
 """Synthesis, detection, fiducials, reports, segmentation, record files."""
 
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ecgauth
+from ecgauth import signals
 from ecgauth.errors import InputError, ParameterError, RecordParseError
 from ecgauth.signals import (
     REPORT_MAX_PEAKS,
@@ -82,6 +90,49 @@ def test_random_morphology_within_declared_family():
         synth_ecg(m, n_beats=2, fs=250.0, seed=0)
 
 
+def _bumps_per_beat(morph, peaks, n, fs):
+    """Reference: each wave bump added to the record one beat at a time."""
+    x = np.zeros(n)
+    for amp, width, off in zip(morph.amplitudes_mv, morph.widths_s, morph.offsets_s):
+        rel0 = math.ceil((off - signals._BUMP_EXTENT_SIGMAS * width) * fs)
+        rel1 = math.floor((off + signals._BUMP_EXTENT_SIGMAS * width) * fs)
+        rel = np.arange(rel0, rel1 + 1)
+        values = amp * np.exp(-((rel / fs - off) ** 2) / (2.0 * width * width))
+        for p in peaks:
+            idx = p + rel
+            inside = (idx >= 0) & (idx < n)
+            x[idx[inside]] += values[inside]
+    return x
+
+
+def _wide_morph():
+    """Bumps reaching about 1.4 s before and 2.0 s after their R peak, past
+    the 0.6 s lead and 1.0 s tail, so windows are clipped at both ends."""
+    return IdentityMorphology(
+        amplitudes_mv=np.array([0.2, -0.3, 1.0, -0.4, 0.3]),
+        widths_s=np.array([0.15, 0.01, 0.025, 0.01, 0.25]),
+        offsets_s=np.array([-0.5, -0.02, 0.0, 0.02, 0.5]),
+        mean_hr_bpm=70.0, hr_jitter_bpm=2.0, noise_std_mv=0.0,
+    )
+
+
+@pytest.mark.parametrize("morph, n_beats, fs", [
+    (canonical_morph(jitter=1.0), 1, 250.0),
+    (canonical_morph(jitter=1.0), 40, 500.0),
+    (IdentityMorphology(  # 200 bpm: each T wave overlaps the next P wave
+        amplitudes_mv=np.array([0.12, -0.37, 1.0, -0.44, 0.30]),
+        widths_s=np.array([0.05, 0.007, 0.025, 0.007, 0.08]),
+        offsets_s=np.array([-0.2, -0.022, 0.0, 0.022, 0.28]),
+        mean_hr_bpm=200.0, hr_jitter_bpm=3.0, noise_std_mv=0.0), 60, 250.0),
+    (_wide_morph(), 1, 250.0),
+    (_wide_morph(), 12, 360.0),
+], ids=["single-beat", "canonical", "overlap-200bpm", "wide-single", "wide"])
+def test_synth_matches_per_beat_reference(morph, n_beats, fs):
+    rec = synth_ecg(morph, n_beats=n_beats, fs=fs, seed=4)
+    want = _bumps_per_beat(morph, rec.ground_truth_peaks, rec.samples.size, fs)
+    assert rec.samples.tobytes() == want.tobytes()
+
+
 # ----------------------------------------------------------------------
 # detect_r_peaks
 
@@ -113,6 +164,48 @@ def test_detect_refractory_blocks_double_fires():
     rec = synth_ecg(canonical_morph(noise=0.04), n_beats=30, fs=500.0, seed=6)
     det = detect_r_peaks(rec)
     assert (np.diff(det) >= 0.2 * rec.fs).all()
+
+
+@pytest.mark.parametrize("level", [5.0, -0.3, 1e-3])
+@pytest.mark.parametrize("fs", [250.0, 1000.0])
+def test_detect_flat_trace_is_empty(level, fs):
+    """A constant trace has no beats at any level: its filtered energy is
+    rounding noise, which must not come out as R peaks."""
+    rec = EcgRecord(samples=np.full(int(10 * fs), level), fs=fs, subject_id=0)
+    assert detect_r_peaks(rec).size == 0
+
+
+def test_detect_needs_room_for_the_band_edge():
+    """The filter's 15 Hz band edge needs a sampling rate above 30 Hz."""
+    x = np.random.default_rng(0).normal(size=300)
+    for fs in (30.0, 12.5):
+        with pytest.raises(InputError, match="above 30 Hz"):
+            detect_r_peaks(EcgRecord(samples=x, fs=fs, subject_id=0))
+    assert detect_r_peaks(EcgRecord(samples=x, fs=31.0, subject_id=0)).ndim == 1
+
+
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # from here on, any scipy import raises
+import numpy as np
+import ecgauth, ecgauth.cli
+from ecgauth.signals import IdentityMorphology, detect_r_peaks, synth_ecg
+rec = synth_ecg(IdentityMorphology.random(np.random.default_rng(0)), n_beats=20,
+                fs=250.0, seed=1)
+print(detect_r_peaks(rec).size)
+print([m for m, mod in sys.modules.items() if m.startswith("scipy") and mod])
+"""
+
+
+def test_runs_without_scipy():
+    """ecgauth imports, synthesizes and detects with scipy unimportable."""
+    src = str(Path(ecgauth.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["20", "[]"]
 
 
 # ----------------------------------------------------------------------
