@@ -276,12 +276,10 @@ def synth_ecg(
         rel1 = math.floor((off + _BUMP_EXTENT_SIGMAS * width) * fs)
         rel = np.arange(rel0, rel1 + 1)
         values = amp * np.exp(-((rel / fs - off) ** 2) / (2.0 * width * width))
-        # one (beats, bump width) index grid; np.add.at adds it row by row,
-        # so overlapping bumps reach each sample in beat order, as a loop
-        # over beats would add them
-        idx = peaks[:, None] + rel
-        inside = (idx >= 0) & (idx < n)
-        np.add.at(x, idx[inside], np.broadcast_to(values, idx.shape)[inside])
+        for p in peaks:
+            idx = p + rel
+            inside = (idx >= 0) & (idx < n)
+            x[idx[inside]] += values[inside]
     if morph.noise_std_mv > 0:
         x += rng.normal(0.0, morph.noise_std_mv, n)
 
@@ -351,12 +349,6 @@ def _fft_size(n: int) -> int:
     return best
 
 
-# One spectrum per (fs, FFT size): records of similar length share a size.
-@functools.lru_cache(maxsize=32)
-def _response_spectrum(fs: float, nfft: int) -> np.ndarray:
-    return np.fft.rfft(_bandpass_design(fs)[2], nfft)
-
-
 def _bandpass(x: np.ndarray, fs: float) -> np.ndarray:
     """Zero-phase band-pass: scipy's ``filtfilt(b, a, x)``.
 
@@ -375,7 +367,7 @@ def _bandpass(x: np.ndarray, fs: float) -> np.ndarray:
     ext = np.concatenate((2 * x[0] - x[pad:0:-1], x, 2 * x[-1] - x[-2:-pad - 2:-1]))
     m = ext.size
     nfft = _fft_size(m + h.size - 1)
-    spectrum = _response_spectrum(fs, nfft)
+    spectrum = np.fft.rfft(h, nfft)
     buf = np.empty(nfft)
     buf[:m] = ext
     buf[m:] = ext[0]

@@ -1,6 +1,5 @@
 """Synthesis, detection, fiducials, reports, segmentation, record files."""
 
-import math
 import os
 import subprocess
 import sys
@@ -10,7 +9,6 @@ import numpy as np
 import pytest
 
 import ecgauth
-from ecgauth import signals
 from ecgauth.errors import InputError, ParameterError, RecordParseError
 from ecgauth.signals import (
     REPORT_MAX_PEAKS,
@@ -88,49 +86,6 @@ def test_random_morphology_within_declared_family():
         assert m.noise_std_mv >= 0
         # synthesizable without validation errors
         synth_ecg(m, n_beats=2, fs=250.0, seed=0)
-
-
-def _bumps_per_beat(morph, peaks, n, fs):
-    """Reference: each wave bump added to the record one beat at a time."""
-    x = np.zeros(n)
-    for amp, width, off in zip(morph.amplitudes_mv, morph.widths_s, morph.offsets_s):
-        rel0 = math.ceil((off - signals._BUMP_EXTENT_SIGMAS * width) * fs)
-        rel1 = math.floor((off + signals._BUMP_EXTENT_SIGMAS * width) * fs)
-        rel = np.arange(rel0, rel1 + 1)
-        values = amp * np.exp(-((rel / fs - off) ** 2) / (2.0 * width * width))
-        for p in peaks:
-            idx = p + rel
-            inside = (idx >= 0) & (idx < n)
-            x[idx[inside]] += values[inside]
-    return x
-
-
-def _wide_morph():
-    """Bumps reaching about 1.4 s before and 2.0 s after their R peak, past
-    the 0.6 s lead and 1.0 s tail, so windows are clipped at both ends."""
-    return IdentityMorphology(
-        amplitudes_mv=np.array([0.2, -0.3, 1.0, -0.4, 0.3]),
-        widths_s=np.array([0.15, 0.01, 0.025, 0.01, 0.25]),
-        offsets_s=np.array([-0.5, -0.02, 0.0, 0.02, 0.5]),
-        mean_hr_bpm=70.0, hr_jitter_bpm=2.0, noise_std_mv=0.0,
-    )
-
-
-@pytest.mark.parametrize("morph, n_beats, fs", [
-    (canonical_morph(jitter=1.0), 1, 250.0),
-    (canonical_morph(jitter=1.0), 40, 500.0),
-    (IdentityMorphology(  # 200 bpm: each T wave overlaps the next P wave
-        amplitudes_mv=np.array([0.12, -0.37, 1.0, -0.44, 0.30]),
-        widths_s=np.array([0.05, 0.007, 0.025, 0.007, 0.08]),
-        offsets_s=np.array([-0.2, -0.022, 0.0, 0.022, 0.28]),
-        mean_hr_bpm=200.0, hr_jitter_bpm=3.0, noise_std_mv=0.0), 60, 250.0),
-    (_wide_morph(), 1, 250.0),
-    (_wide_morph(), 12, 360.0),
-], ids=["single-beat", "canonical", "overlap-200bpm", "wide-single", "wide"])
-def test_synth_matches_per_beat_reference(morph, n_beats, fs):
-    rec = synth_ecg(morph, n_beats=n_beats, fs=fs, seed=4)
-    want = _bumps_per_beat(morph, rec.ground_truth_peaks, rec.samples.size, fs)
-    assert rec.samples.tobytes() == want.tobytes()
 
 
 # ----------------------------------------------------------------------
