@@ -33,7 +33,7 @@ from ecgauth import (
     synth_ecg,
 )
 
-config = EncoderConfig(n_blocks=2, channels=(8, 16), kernel_size=5,
+config = EncoderConfig(channels=(8, 16), kernel_size=5,
                        embed_dim=32, proj_dim=16)
 params = init_params(config, input_length=250, seed=42)
 again = init_params(config, input_length=250, seed=42)

@@ -29,7 +29,7 @@ cfg = RunConfig(
     seed=5,
     corpus=CorpusSpec(n_enrolled=3, n_open=6, beats_per_identity=80,
                       half_window=125),
-    encoder=EncoderConfig(n_blocks=2, channels=(8, 16), kernel_size=5,
+    encoder=EncoderConfig(channels=(8, 16), kernel_size=5,
                           embed_dim=32, proj_dim=16),
     pretrain=PretrainConfig(epochs=15, batch_size=16, learning_rate=1e-3),
     finetune=FinetuneConfig(epochs=30, batch_size=16, learning_rate=1e-3),

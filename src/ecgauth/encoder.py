@@ -1,9 +1,9 @@
 """Dual-branch encoder: residual 1-D conv net for beats, hashed linear map for reports.
 
-The signal encoder is an initial stride-2 convolution followed by
-``n_blocks`` residual blocks (each downsampling by 2), global average
-pooling, and a linear embedding layer. Authentication embeds beats with it
-alone. The pretraining heads exist only for contrastive alignment: a
+The signal encoder is an initial stride-2 convolution followed by one
+residual block per width in ``channels`` (each downsampling by 2), global
+average pooling, and a linear embedding layer. Authentication embeds beats
+with it alone. The pretraining heads exist only for contrastive alignment: a
 projection head on the signal embedding, and the report branch, which
 hashes the text into a fixed 512-bin bag-of-tokens vector, maps it to the
 embedding width and projects it. Both projection heads are
@@ -68,7 +68,6 @@ _FORMAT_VERSION = 1
 class EncoderConfig:
     """Architecture hyperparameters for the dual encoder."""
 
-    n_blocks: int = 4
     channels: tuple[int, ...] = (16, 32, 64, 128)
     kernel_size: int = 7
     embed_dim: int = 128
@@ -76,10 +75,8 @@ class EncoderConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "channels", tuple(int(c) for c in self.channels))
-        if self.n_blocks < 1:
-            raise ParameterError("n_blocks must be >= 1")
-        if len(self.channels) != self.n_blocks:
-            raise ParameterError("channels must list one width per block")
+        if not self.channels:
+            raise ParameterError("channels must list at least one block width")
         if any(c < 1 for c in self.channels):
             raise ParameterError("channel widths must be positive")
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:

@@ -164,10 +164,6 @@ def _leaf(value, default, what: str):
         if isinstance(value, (list, tuple)) and all(_is_int(v) for v in value):
             return list(value)
         raise ConfigurationError(f"{what} must be a list of integers")
-    if isinstance(default, bool):
-        if isinstance(value, bool):
-            return value
-        raise ConfigurationError(f"{what} must be true or false")
     if isinstance(default, int):
         if _is_int(value):
             return value
@@ -362,6 +358,15 @@ def _bare_name(name) -> str:
     return name
 
 
+def _manifest_ids(ids, key: str) -> list[int]:
+    """A manifest id list, sorted: distinct integers only."""
+    if not isinstance(ids, list) or not all(_is_int(s) for s in ids):
+        raise ValueError(f"{key} must be a list of integers")
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"{key} lists an id more than once")
+    return sorted(ids)
+
+
 def _read_corpus_record(path: Path, digest: str, fs: float,
                         subject_id: int) -> EcgRecord:
     """One record file, checked against its manifest digest and decoded."""
@@ -385,10 +390,12 @@ def _read_corpus_record(path: Path, digest: str, fs: float,
 def load_corpus(corpus_dir, include_open: bool = True) -> Corpus:
     """Load a written corpus; beat segments are re-derived (deterministic).
 
-    The whole manifest is always parsed and checked: each record is listed
-    by a bare file name in ``corpus_dir`` and with its SHA-256. A manifest
-    without digests (a text corpus of an earlier version) is rejected with a
-    hint to re-run ``ecgauth synth``. Each record file read must match its
+    The whole manifest is always parsed and checked: ``half_window`` is an
+    integer >= 1, the enrolled and open ids are distinct integers with no id
+    in both splits, and each record is listed by a bare file name in
+    ``corpus_dir`` and with its SHA-256. A manifest without digests (a text
+    corpus of an earlier version) is rejected with a hint to re-run
+    ``ecgauth synth``. Each record file read must match its
     digest and hold a non-empty, finite trace; its ``fs`` comes from the
     manifest and its subject from the manifest key. With
     ``include_open=False`` the open identities' record files are not read
@@ -404,17 +411,26 @@ def load_corpus(corpus_dir, include_open: bool = True) -> Corpus:
         fs = float(manifest["fs"])
         if not (math.isfinite(fs) and fs > 0):
             raise ValueError(f"fs must be a positive finite number, got {fs!r}")
-        half_window = int(manifest["half_window"])
+        half_window = manifest["half_window"]
+        if not _is_int(half_window) or half_window < 1:
+            raise ValueError(f"half_window must be an integer >= 1, got "
+                             f"{half_window!r}")
         if "sha256" not in manifest:
             raise InputError(
                 f"corpus manifest {manifest_path} lists no record digests: the "
                 "corpus was written by an earlier version in the text format; "
                 "re-run `ecgauth synth`")
+        enrolled, opens = [_manifest_ids(manifest[key], key)
+                           for key in ("enrolled_ids", "open_ids")]
+        both = set(enrolled) & set(opens)
+        if both:
+            raise ValueError(f"ids {sorted(both)} are listed as both enrolled "
+                             "and open")
         enrolled_files, open_files = [
             {sid: (corpus_dir / _bare_name(manifest["records"][str(sid)]),
                    manifest["sha256"][str(sid)])
-             for sid in sorted(int(s) for s in manifest[key])}
-            for key in ("enrolled_ids", "open_ids")
+             for sid in ids}
+            for ids in (enrolled, opens)
         ]
     except (KeyError, TypeError, ValueError) as exc:
         # json.JSONDecodeError is a ValueError
@@ -681,8 +697,7 @@ class AblationRow:
 ABLATION_VARIANTS = ("full", "no_pretrain", "no_finetune")
 
 
-def run_ablations(cfg: RunConfig, corpus: Corpus | None = None,
-                  pretrained: ModelParams | None = None) -> list[AblationRow]:
+def run_ablations(cfg: RunConfig) -> list[AblationRow]:
     """Skip pretraining or fine-tuning, one at a time.
 
     Every variant shares the corpus and the calibration, and the two that
@@ -692,10 +707,8 @@ def run_ablations(cfg: RunConfig, corpus: Corpus | None = None,
     with the pretrained weights and the medoid prototypes. Metrics are
     taken at the first configured open-set ratio.
     """
-    if corpus is None:
-        corpus = build_corpus(cfg)
-    if pretrained is None:
-        pretrained, _ = pretrain_stage(corpus, cfg)
+    corpus = build_corpus(cfg)
+    pretrained, _ = pretrain_stage(corpus, cfg)
     variants = {
         "full": (cfg.finetune, pretrained),
         "no_pretrain": (cfg.finetune, initial_params(cfg)),

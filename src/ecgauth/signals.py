@@ -95,8 +95,9 @@ class EcgRecord:
         if not np.isfinite(self.samples).all():
             raise InputError("record samples must be finite")
         self.fs = float(self.fs)
-        if self.fs <= 0:
-            raise ParameterError(f"sampling rate must be positive, got {self.fs}")
+        if not (math.isfinite(self.fs) and self.fs > 0):
+            raise ParameterError(
+                f"sampling rate must be a positive finite number, got {self.fs}")
         self.subject_id = int(self.subject_id)
         if self.ground_truth_peaks is not None:
             peaks = np.asarray(self.ground_truth_peaks, dtype=np.int64)
@@ -632,8 +633,9 @@ def read_record(path) -> EcgRecord:
         subject = int(subject_text)
     except ValueError:
         raise RecordParseError(path, 1, f"malformed header {header!r}") from None
-    if fs <= 0:
-        raise RecordParseError(path, 1, f"sampling rate must be positive, got {fs_text}")
+    if not (math.isfinite(fs) and fs > 0):
+        raise RecordParseError(
+            path, 1, f"sampling rate must be a positive finite number, got {fs_text}")
 
     try:
         samples = np.fromiter(map(float, lines[1:]), np.float64, len(lines) - 1)

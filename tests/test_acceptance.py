@@ -1,10 +1,11 @@
 """Acceptance gate: every headline guarantee of the toolkit, one test each.
 
 Each test prints a single PASS line with the measured evidence (run with
-``-rP``, the configured default, to see them for passing tests). The heavy
-end-to-end tests share one module-scoped pipeline run on the default
-configuration; the determinism test deliberately runs last because it
-deletes and regenerates that run's artifacts.
+``-rP``, the configured default, to see them for passing tests). The default
+configuration runs once, in a module-scoped pipeline run that the end-to-end
+tests share. The ablation gate and the determinism gate run the unsaturated
+train-hard configuration instead: the ablation gate on four config seeds,
+the determinism gate twice at one seed.
 """
 
 import contextlib
@@ -12,7 +13,6 @@ import hashlib
 import io
 import json
 import math
-import shutil
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -22,7 +22,6 @@ import pytest
 
 from ecgauth import pipeline
 from ecgauth.cli import main
-from ecgauth.encoder import load_checkpoint
 from ecgauth.losses import (
     center_loss_grad,
     compute_medoid,
@@ -39,7 +38,6 @@ from ecgauth.signals import (
     render_report,
     synth_ecg,
 )
-from ecgauth.training import FinetuneConfig, PretrainConfig
 
 # ----------------------------------------------------------------------
 # gradient correctness
@@ -391,17 +389,17 @@ def test_report_rendering_matches_goldens():
 # ----------------------------------------------------------------------
 # end-to-end experiment on the default configuration
 #
-# One shared pipeline run (synth -> pretrain -> finetune -> eval) through
-# the CLI with the stock config and its fixed seed. The three tests below
-# read different aspects of the same artifacts.
+# The one run of the default config in this suite: synth -> pretrain ->
+# finetune -> eval through the CLI with the stock config and its fixed seed.
+# The two tests below read different aspects of the same artifacts.
 
 
-def _run_stages(cfg_path: Path) -> dict[str, float]:
+def _run_stages(cfg_path: Path, *extra: str) -> dict[str, float]:
     times = {}
     for stage in ("synth", "pretrain", "finetune", "eval"):
         start = time.perf_counter()
         with contextlib.redirect_stdout(io.StringIO()):
-            code = main([stage, "--config", str(cfg_path)])
+            code = main([stage, "--config", str(cfg_path), *extra])
         times[stage] = time.perf_counter() - start
         assert code == 0, f"stage {stage} exited with {code}"
     return times
@@ -424,8 +422,7 @@ def experiment(tmp_path_factory):
     cfg_path.write_text(json.dumps(doc, indent=2), encoding="utf-8")
     times = _run_stages(cfg_path)
     summary = json.loads((out / "eval" / "summary.json").read_text())
-    return SimpleNamespace(root=root, out=out, cfg_path=cfg_path,
-                           times=times, summary=summary)
+    return SimpleNamespace(times=times, summary=summary)
 
 
 def test_end_to_end_open_set_experiment(experiment):
@@ -458,74 +455,70 @@ def test_far_rises_then_stabilizes_across_ratio_sweep(experiment):
           f"({far_txt}); OSCR spread {spread:.4f} <= 0.10")
 
 
-@pytest.fixture(scope="module")
-def ablation_rows(experiment):
-    cfg = pipeline.config_from_dict(
-        json.loads(experiment.cfg_path.read_text())
-    )
-    corpus = pipeline.load_corpus(experiment.out / "corpus")
-    pretrained = load_checkpoint(experiment.out / "pretrain.ckpt")
-    return pipeline.run_ablations(cfg, corpus=corpus, pretrained=pretrained)
-
-
-def test_ablations_complete_with_comparison_csv(ablation_rows):
-    assert {r.variant for r in ablation_rows} == set(pipeline.ABLATION_VARIANTS)
-    lines = pipeline.format_ablation_table(ablation_rows).splitlines()
-    assert lines[0] == "variant,accuracy,oscr,tnr,far"
-    assert len(lines) == 1 + len(pipeline.ABLATION_VARIANTS)
-
-    full = next(r for r in ablation_rows if r.variant == "full")
-    margins = {r.variant: full.oscr - r.oscr
-               for r in ablation_rows if r.variant != "full"}
-    assert all(m >= -0.02 for m in margins.values()), margins
-    worst_variant = min(margins, key=margins.get)
-    print(f"PASS ablations: {len(ablation_rows)} variants in the CSV table; "
-          f"full-loss oscr {full.oscr:.4f} >= every ablation - 0.02 "
-          f"(tightest: {worst_variant} at {margins[worst_variant]:+.4f})")
-
-
 # ----------------------------------------------------------------------
 # quality gate on an unsaturated configuration
 #
-# The default run saturates (accuracy and TNR 1.0), so the gates above
-# cannot see a loss term that stops working. The train-hard settings (noise
-# and heart-rate jitter doubled, 4 pretraining and 5 fine-tuning epochs)
-# leave room: at config seed 2, full OSCR is 0.8685, with leads of +0.627
-# over no_pretrain and +0.097 over no_finetune.
+# The default run saturates (accuracy and TNR 1.0, OSCR 0.99), so the gates
+# above cannot see a loss term that stops working. The train-hard settings (noise and heart-rate jitter doubled, 4
+# pretraining and 5 fine-tuning epochs) leave room, but OSCR swings by about
+# 0.1 from one config seed to the next, so the gate runs on four of them:
+# seed 2, the train-hard benchmark workload's, and seeds 3, 6 and 7, each
+# the lowest of seeds 2-7 on at least one gated quantity. Values at seeds
+# 2-7, in order:
+#   full OSCR                       0.8685 0.7380 0.8649 0.9651 0.7880 0.6811
+#   full TNR                        0.6405 0.2532 0.6886 0.9114 0.5696 0.4137
+#   OSCR lead over no_pretrain      +0.627 +0.422 +0.469 +0.537 +0.462 +0.148
+#   OSCR lead over no_finetune      +0.098 +0.005 +0.003 -0.005 -0.029 -0.015
+#   accuracy, full / no_finetune    1/0.9875 0.975/0.95 1/1 1/0.9875 1/0.9375
+#                                   1/0.9875
+# Seed 3 has the lowest TNR and accuracy, seed 6 the lowest lead over
+# no_finetune, and seed 7 the lowest OSCR and lead over no_pretrain.
 # no_finetune is the pretrained weights with the medoid prototypes (zero
-# fine-tuning epochs). Full's OSCR lead over it on config seeds 2-7 is
-# +0.097, +0.005, +0.003, -0.005, -0.029 and -0.015, so no positive floor
-# holds on every seed, and a floor chosen to hold at seed 2 alone would hide
-# the seeds where fine-tuning loses. What held on all six seeds is asserted
-# instead: full's accuracy is at least no_finetune's (1.0/0.9875,
-# 0.975/0.95, 1.0/1.0, 1.0/0.9875, 1.0/0.9375, 1.0/0.9875), and full's OSCR
-# lead is at least -0.05. A registry that stops fitting its prototypes
+# fine-tuning epochs). No positive floor on the lead over it holds on every
+# seed, and a floor chosen to hold on the seeds where it is positive would
+# hide the seeds where fine-tuning loses. What held on all six seeds is
+# asserted instead: full's accuracy is at least no_finetune's, and full's
+# OSCR lead is at least -0.05. A registry that stops fitting its prototypes
 # fails both: at seed 2 the old beta = 0 registry (fixed weights, medoid
 # prototypes taken before 5 epochs of BatchNorm statistics moved) scored
 # accuracy 0.60 and OSCR 0.4037.
 # The other floors sit well below the lowest value over seeds 2-7: full
 # OSCR 0.681, full TNR 0.253, and full's OSCR lead of 0.148 over
-# no_pretrain.
+# no_pretrain. That lead comes from the batch-norm running statistics that
+# pretraining sets more than from its contrastive objective: with the
+# pretraining learning rate at 1e-9, every seed here still passes.
 # Floors only, never ceilings, so an improvement always passes.
 # no_pretrain falls back to threshold 0.5 with TNR 1.0, so the variants are
 # compared on OSCR, not TNR.
 
+_HARD_SEEDS = (2, 3, 6, 7)
 _HARD_OSCR_FLOOR = 0.50
 _HARD_TNR_FLOOR = 0.10
 _HARD_LEAD_FLOOR = {"no_pretrain": 0.06, "no_finetune": -0.05}
 
 
-def test_hard_tier_quality_floors_and_ablation_leads():
-    cfg = pipeline.RunConfig(
-        seed=2,
-        corpus=pipeline.CorpusSpec(n_enrolled=5, n_open=10,
-                                   beats_per_identity=80, noise_scale=2.0,
-                                   jitter_scale=2.0),
-        pretrain=PretrainConfig(epochs=4),
-        finetune=FinetuneConfig(epochs=5),
-        open_ratios=(1, 2),
-    )
-    rows = {r.variant: r for r in pipeline.run_ablations(cfg)}
+def _hard_tier_config_dict(seed: int) -> dict:
+    """The train-hard config tree at one config seed."""
+    doc = pipeline.default_config_dict()
+    doc["seed"] = seed
+    doc["corpus"].update(n_enrolled=5, n_open=10, beats_per_identity=80,
+                         noise_scale=2.0, jitter_scale=2.0)
+    doc["pretrain"]["epochs"] = 4
+    doc["finetune"]["epochs"] = 5
+    doc["open_ratios"] = [1, 2]
+    return doc
+
+
+@pytest.mark.parametrize("seed", _HARD_SEEDS, ids=lambda s: f"seed{s}")
+def test_hard_tier_quality_floors_and_ablation_leads(seed):
+    cfg = pipeline.config_from_dict(_hard_tier_config_dict(seed))
+    table = pipeline.run_ablations(cfg)
+    lines = pipeline.format_ablation_table(table).splitlines()
+    assert lines[0] == "variant,accuracy,oscr,tnr,far"
+    assert len(lines) == 1 + len(pipeline.ABLATION_VARIANTS)
+    rows = {r.variant: r for r in table}
+    assert set(rows) == set(pipeline.ABLATION_VARIANTS)
+
     full, no_finetune = rows["full"], rows["no_finetune"]
     assert full.oscr >= _HARD_OSCR_FLOOR
     assert full.tnr >= _HARD_TNR_FLOOR
@@ -535,18 +528,31 @@ def test_hard_tier_quality_floors_and_ablation_leads():
         assert leads[variant] >= floor, (variant, leads)
     lead_txt = ", ".join(f"{v} {leads[v]:+.4f} >= {f}"
                          for v, f in _HARD_LEAD_FLOOR.items())
-    print(f"PASS hard tier: full oscr {full.oscr:.4f} >= {_HARD_OSCR_FLOOR}, "
+    print(f"PASS hard tier, seed {seed}: {len(table)} variants in the CSV "
+          f"table; full oscr {full.oscr:.4f} >= {_HARD_OSCR_FLOOR}, "
           f"tnr {full.tnr:.4f} >= {_HARD_TNR_FLOOR}, accuracy "
           f"{full.accuracy:.4f} >= no_finetune {no_finetune.accuracy:.4f}; "
           f"oscr lead over {lead_txt}")
 
 
-def test_full_pipeline_is_bit_deterministic(experiment):
-    first = _tree_digest(experiment.out)
-    shutil.rmtree(experiment.out)
-    _run_stages(experiment.cfg_path)
-    second = _tree_digest(experiment.out)
-    assert first == second
-    print(f"PASS determinism: two full runs with identical config and seed, "
-          f"all {len(first)} artifacts bit-identical (corpus records, "
-          f"checkpoint, registry, metric CSVs, summary)")
+# ----------------------------------------------------------------------
+# determinism
+#
+# Determinism holds for any config, so it is checked on the train-hard one
+# at seed 2: the default encoder and 500-sample windows take the same BLAS
+# paths as the default run, at a fraction of its cost.
+
+
+def test_full_pipeline_is_bit_deterministic(tmp_path):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(_hard_tier_config_dict(2), indent=2),
+                        encoding="utf-8")
+    first, second = tmp_path / "first", tmp_path / "second"
+    for out in (first, second):
+        _run_stages(cfg_path, "--out", str(out))
+    digests = _tree_digest(first)
+    assert digests == _tree_digest(second)
+    print(f"PASS determinism: two train-hard runs with identical config and "
+          f"seed into two directories, all {len(digests)} artifacts "
+          f"bit-identical (corpus records, checkpoint, registry, metric CSVs, "
+          f"summary)")

@@ -11,7 +11,7 @@ from ecgauth.encoder import EncoderConfig, init_params, save_checkpoint
 from ecgauth.metrics import write_embeddings_csv
 from ecgauth.signals import EcgRecord, write_record
 
-SMALL = EncoderConfig(n_blocks=1, channels=(4,), kernel_size=3, embed_dim=8, proj_dim=4)
+SMALL = EncoderConfig(channels=(4,), kernel_size=3, embed_dim=8, proj_dim=4)
 
 
 def _registry(seed):

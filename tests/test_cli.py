@@ -36,7 +36,7 @@ def tiny_config_dict():
     cfg["seed"] = 5
     cfg["corpus"].update(n_enrolled=3, n_open=6, beats_per_identity=24,
                          half_window=125)
-    cfg["encoder"].update(n_blocks=2, channels=[8, 16], kernel_size=5,
+    cfg["encoder"].update(channels=[8, 16], kernel_size=5,
                           embed_dim=32, proj_dim=16)
     cfg["pretrain"].update(epochs=2, batch_size=16)
     cfg["finetune"].update(epochs=3, batch_size=16)
@@ -308,12 +308,12 @@ def test_config_sections_match_dataclass_fields():
     ("finetune", {"batch_size": 2.5}),
     ("pretrain", {"epochs": 1.5}),
     ("corpus", {"half_window": 125.5}),
-    ("finetune", {"beta1": 1.0}),
-    ("finetune", {"eps": 0}),
-    ("finetune", {"optimizer": "sgd", "momentum": -5}),
+    ("finetune", {"learning_rate": 0}),
+    ("pretrain", {"tau": -1}),
+    ("corpus", {"noise_scale": -1}),
     ("pretrain", {"batch_size": 1}),  # the contrastive loss needs negatives
-], ids=["batch_size", "epochs", "half_window", "beta1", "eps", "momentum",
-        "pretrain_batch_size_1"])
+], ids=["batch_size", "epochs", "half_window", "learning_rate", "tau",
+        "noise_scale", "pretrain_batch_size_1"])
 def test_bad_optimizer_and_shape_values_are_config_errors(tmp_path, section,
                                                           values):
     bad = tmp_path / "bad.json"
@@ -329,7 +329,8 @@ _REMOVED_KEYS = [(section, key) for key in ("optimizer", "momentum", "beta1",
                  for section in ("pretrain", "finetune")]
 _REMOVED_KEYS += [("finetune", "gamma"),  # the reciprocal-point repulsion weight
                   ("finetune", "alpha"),  # the self-constraint center weight
-                  ("finetune", "beta")]  # the prototype loss weight
+                  ("finetune", "beta"),  # the prototype loss weight
+                  ("encoder", "n_blocks")]  # always len(channels)
 
 
 @pytest.mark.parametrize("section,key", _REMOVED_KEYS,
@@ -415,7 +416,16 @@ def test_missing_corpus_exit_code(workspace, tmp_path, capsys):
     # an intact record file with its digest, but outside the corpus directory
     lambda m, _: m["records"].update({"1": "../id_0001.f64"}),
     lambda m, corpus: m["records"].update({"1": str(corpus.parent / "id_0001.f64")}),
-], ids=["missing-key", "unlisted-id", "bad-value", "parent-dir", "absolute-path"])
+    lambda m, _: m.update(half_window=0),
+    lambda m, _: m.update(half_window=-5),
+    lambda m, _: m.update(half_window=2.7),  # not read as 2
+    lambda m, _: m.update(half_window=True),  # not read as 1
+    lambda m, _: m["enrolled_ids"].append(1),
+    lambda m, _: m["open_ids"].append(1),  # enrolled id 1 listed as open too
+    lambda m, _: m["enrolled_ids"].append("1"),  # not read as id 1
+], ids=["missing-key", "unlisted-id", "bad-value", "parent-dir", "absolute-path",
+        "zero-half_window", "negative-half_window", "fractional-half_window",
+        "bool-half_window", "repeated-id", "id-in-both-splits", "string-id"])
 def test_malformed_manifest_exit_code(workspace, tmp_path, capsys, change):
     cfg_path, out = workspace
     target = _copy_corpus(out, tmp_path / "badmanifest")
@@ -705,7 +715,8 @@ def test_corpus_at_another_sampling_rate_exit_code(workspace, tmp_path, capsys):
 @pytest.mark.parametrize("change", [
     lambda enc: enc.pop("proj_dim"),
     lambda enc: enc.update(dropout=0.1),
-], ids=["missing", "extra"])
+    lambda enc: enc.update(n_blocks=2),  # a key of earlier versions
+], ids=["missing", "extra", "n_blocks"])
 def test_encoder_header_keys_must_match_config(workspace, tmp_path, change):
     """A checkpoint whose encoder section lacks or adds a key is rejected."""
     cfg_path, out = workspace

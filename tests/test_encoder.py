@@ -31,7 +31,7 @@ from ecgauth.errors import (
     ShapeError,
 )
 
-SMALL = EncoderConfig(n_blocks=1, channels=(4,), kernel_size=3,
+SMALL = EncoderConfig(channels=(4,), kernel_size=3,
                       embed_dim=8, proj_dim=4)
 LEN = 32
 
@@ -64,7 +64,7 @@ def test_params_copy_is_independent():
 
 def test_config_validation():
     with pytest.raises(ParameterError):
-        EncoderConfig(n_blocks=2, channels=(8,))
+        EncoderConfig(channels=())  # at least one residual block
     with pytest.raises(ParameterError):
         EncoderConfig(embed_dim=0)
     with pytest.raises(ParameterError):

@@ -437,3 +437,12 @@ def test_read_record_rejects_corruption(tmp_path):
     path.write_bytes(b"junk")
     with pytest.raises(RecordParseError):
         read_record(path)
+
+    # a sampling rate that is not a positive finite number: in the header
+    # of a record file, and given to a record directly
+    for fs_text in ("0", "-250", "nan", "inf"):
+        path.write_text(f"fs={fs_text},subject=1\n0.5\n", encoding="ascii")
+        with pytest.raises(RecordParseError, match=":1: sampling rate"):
+            read_record(path)
+        with pytest.raises(ParameterError, match="sampling rate"):
+            EcgRecord(samples=np.zeros(4), fs=float(fs_text), subject_id=1)

@@ -16,7 +16,7 @@ from ecgauth.losses import compute_medoid
 from ecgauth.signals import IdentityMorphology, segment_beats, synth_ecg
 from ecgauth.training import FinetuneConfig, PretrainConfig, finetune, pretrain
 
-SMALL_ENC = EncoderConfig(n_blocks=1, channels=(4,), kernel_size=3,
+SMALL_ENC = EncoderConfig(channels=(4,), kernel_size=3,
                           embed_dim=8, proj_dim=4)
 HALF = 64  # 128-sample windows keep these loops fast
 
