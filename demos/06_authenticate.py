@@ -38,8 +38,8 @@ cfg = RunConfig(
 corpus = build_corpus(cfg)
 params, _ = pretrain_stage(corpus, cfg)
 registry = enroll_stage(corpus, cfg, params)
-print(f"registry: identities {registry.ids}, calibrated threshold "
-      f"{registry.threshold:.9f}")
+print(f"registry: identities {registry.ids}, threshold "
+      f"{registry.threshold:.9f} ({registry.metadata['threshold_source']})")
 
 # a genuine beat from an enrolled identity's held-out split
 _, _, test = make_splits(corpus)

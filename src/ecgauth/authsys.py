@@ -13,7 +13,12 @@ threshold and sampling rate in metadata.
 A registry folds its encoder's batch norms into the convs once, when it is
 constructed (``encoder.fold_signal_encoder``), and every score runs that
 folded copy. The fold is derived from the weights: it is not saved, and it
-is not part of the digest, the repr or equality.
+is not part of the digest, the repr or equality. It is cast to float32:
+the stored weights, prototypes and threshold stay float64, the embeddings
+come back as float64, and the threshold is calibrated on the same float32
+scores that authentication and evaluation compute. The creation metadata
+records whether the threshold was calibrated or fell back to 0.5
+(``threshold_source``).
 """
 
 from __future__ import annotations
@@ -50,6 +55,9 @@ _ACCEPT_RATE = 0.95
 _THRESHOLD_MARGIN = 1e-9
 # the one tensor a registry container holds besides the encoder's
 _PROTOTYPES = "registry.prototypes"
+# the dtype every score is computed in: float32 halves the inference
+# convs' bytes, and the threshold is calibrated at it too
+_SCORE_DTYPE = np.float32
 
 
 @dataclass
@@ -66,8 +74,8 @@ class Registry:
     """Enrolled identities: the signal encoder's weights, sorted ids, their
     prototypes (row k belongs to ids[k]), the acceptance threshold, and the
     sampling rate ``fs`` (Hz) of the records the encoder was trained on.
-    ``encoder`` is ``params`` folded for inference, derived at construction
-    (so also by ``dataclasses.replace``)."""
+    ``encoder`` is ``params`` folded for inference at float32, derived at
+    construction (so also by ``dataclasses.replace``)."""
 
     params: ModelParams
     ids: list[int]
@@ -102,7 +110,7 @@ class Registry:
         if not (math.isfinite(self.fs) and self.fs > 0):
             raise ParameterError(f"sampling rate must be positive and finite, "
                                  f"got {self.fs}")
-        self.encoder = fold_signal_encoder(self.params)
+        self.encoder = fold_signal_encoder(self.params, _SCORE_DTYPE)
 
     def digest(self) -> str:
         """SHA-256 over signal-encoder tensors, ids, prototypes, threshold,
@@ -133,7 +141,8 @@ def enroll(labeled, params: ModelParams, cfg: FinetuneConfig, seed: int,
 
     ``fs`` is the sampling rate of the records the segments were cut from.
     The threshold is calibrated on ``validation`` (sequence of
-    (BeatSegment, id)). Deterministic for fixed data, cfg and seed.
+    (BeatSegment, id)), and the metadata's ``threshold_source`` says
+    whether it fell back. Deterministic for fixed data, cfg and seed.
     """
     tuned, ids, prototypes, _ = finetune(labeled, params, cfg, seed)
     registry = Registry(
@@ -145,7 +154,8 @@ def enroll(labeled, params: ModelParams, cfg: FinetuneConfig, seed: int,
         metadata={"seed": seed,
                   "config_digest": _config_digest(cfg, seed, params)},
     )
-    registry.threshold = calibrate_threshold(registry, validation)
+    registry.threshold, registry.metadata["threshold_source"] = (
+        calibrate_threshold(registry, validation))
     return registry
 
 
@@ -185,12 +195,14 @@ def authenticate_batch(registry: Registry, segments) -> list[Decision]:
     ]
 
 
-def calibrate_threshold(registry: Registry, validation) -> float:
-    """Largest threshold keeping >= 95% of validation correctly accepted.
+def calibrate_threshold(registry: Registry, validation) -> tuple[float, str]:
+    """(threshold, source): the largest threshold keeping >= 95% of
+    validation correctly accepted, and ``"calibrated"``.
 
     Candidates are the scores of correctly classified validation samples;
-    the result is clamped strictly inside (0, 1). Falls back to 0.5 when no
-    threshold attains the rate (e.g. too many misclassifications).
+    the result is clamped strictly inside (0, 1). Returns (0.5,
+    ``"fallback"``) when no threshold attains the rate (e.g. too many
+    misclassifications).
     """
     validation = list(validation)
     if not validation:
@@ -202,12 +214,12 @@ def calibrate_threshold(registry: Registry, validation) -> float:
     n = len(validation)
     for cand in np.unique(probs[correct])[::-1]:
         if (correct & (probs >= cand)).sum() / n >= _ACCEPT_RATE:
-            return float(min(max(cand, _THRESHOLD_MARGIN),
-                             1.0 - _THRESHOLD_MARGIN))
+            return (float(min(max(cand, _THRESHOLD_MARGIN),
+                              1.0 - _THRESHOLD_MARGIN)), "calibrated")
     logger.warning("no threshold keeps %.0f%% of %d validation samples "
                    "correctly accepted; falling back to %s",
                    100 * _ACCEPT_RATE, n, _FALLBACK_THRESHOLD)
-    return _FALLBACK_THRESHOLD
+    return _FALLBACK_THRESHOLD, "fallback"
 
 
 def save_registry(registry: Registry, path) -> None:

@@ -20,7 +20,10 @@ through the training layers' forward code, one GEMM per window and one
 32-window chunk at a time, with no tape. A window's embedding is
 bit-identical whatever batch or chunk it comes in, and it differs from the
 unfolded eval-mode graph by rounding only. The folded tensors are derived,
-never saved.
+never saved. Training and checkpoints are float64; a fold is float64 by
+default or cast to a smaller dtype once, and inference computes in the
+fold's dtype but always returns float64 embeddings. Registries score at
+float32 (``authsys``); fine-tuning's medoid pass folds at float64.
 
 Checkpoints are a single-file container: an 8-byte magic, a JSON header
 (format version, encoder configuration, tensor manifest), the tensors as
@@ -210,8 +213,8 @@ class DualEncoder:
     # ------------------------------------------------------------------
     # signal branch
 
-    def _check_batch(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+    def _check_batch(self, x: np.ndarray, dtype=np.float64) -> np.ndarray:
+        x = np.asarray(x, dtype=dtype)
         if x.ndim != 2:
             raise ShapeError("expected a (batch, length) array of segments")
         if x.shape[1] != self.input_length:
@@ -345,48 +348,59 @@ class FoldedEncoder:
     """The signal encoder as inference runs it (``fold_signal_encoder``).
 
     ``tensors`` holds each conv's folded weight and bias and the ``embed``
-    layer's, under the layer graph's names; no batch-norm tensor is left.
+    layer's, under the layer graph's names, all of one dtype; no batch-norm
+    tensor is left.
     """
 
     config: EncoderConfig
     input_length: int
     tensors: dict[str, np.ndarray]
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype the encoder computes in: that of its tensors."""
+        return next(iter(self.tensors.values())).dtype
 
-def fold_signal_encoder(mp: ModelParams) -> FoldedEncoder:
+
+def fold_signal_encoder(mp: ModelParams, dtype=np.float64) -> FoldedEncoder:
     """Fold each batch norm of the signal encoder into the conv before it.
 
     With sigma = sqrt(running_var + eps), the conv weight becomes
     W * gamma / sigma and its bias (b - running_mean) * gamma / sigma + beta,
     per output channel, so a conv followed by an eval-mode batch norm is one
-    conv. Pure: the result shares no array with ``mp``.
+    conv. The fold is computed in float64 and each result is cast to
+    ``dtype`` once. Pure: the result shares no array with ``mp``.
     """
     model = build_model(mp)
     p, buf = mp.params, mp.buffers
-    tensors = {k: p[k].copy() for k in (f"{model.embed.name}.weight",
-                                        f"{model.embed.name}.bias")}
+    tensors = {k: p[k] for k in (f"{model.embed.name}.weight",
+                                 f"{model.embed.name}.bias")}
     for conv, bn in model.conv_norms:
         sigma = np.sqrt(buf[f"{bn.name}.running_var"] + nn._BN_EPS)
         scale = p[f"{bn.name}.gamma"] / sigma
         mean = buf[f"{bn.name}.running_mean"]
         tensors[f"{conv.name}.weight"] = p[f"{conv.name}.weight"] * scale[:, None, None]
         tensors[f"{conv.name}.bias"] = (p[f"{conv.name}.bias"] - mean) * scale + p[f"{bn.name}.beta"]
+    # astype copies, so not even the embed layer shares memory with mp
+    tensors = {k: v.astype(dtype) for k, v in tensors.items()}
     return FoldedEncoder(config=mp.config, input_length=mp.input_length, tensors=tensors)
 
 
 def encode_signal_batch(enc: FoldedEncoder, x: np.ndarray) -> np.ndarray:
-    """Embeddings for a (batch, length) array of windows: the one inference
-    path.
+    """Float64 embeddings for a (batch, length) array of windows: the one
+    inference path.
 
     Runs the folded signal encoder through the same ``forward`` code as
     training (``train=False``), with ``ResidualBlock.infer`` wiring each
-    block, and keeps no tape. It runs ``_ENCODE_CHUNK`` windows at a time,
-    so its activations stay cache-sized. Every layer is per-window, so a
+    block, and keeps no tape. The windows are cast to the fold's dtype in
+    one copy, every activation stays in it, and only the embeddings are
+    cast back to float64. It runs ``_ENCODE_CHUNK`` windows at a time, so
+    its activations stay cache-sized. Every layer is per-window, so a
     window's embedding does not depend on the chunk size or on the other
     windows in the batch.
     """
     model = _layer_graph(enc.config, enc.input_length)
-    x = model._check_batch(x)
+    x = model._check_batch(x, enc.dtype)
     tensors = enc.tensors
     out = []
     # an empty batch still makes one pass, so it keeps its (0, embed_dim) shape
@@ -398,7 +412,7 @@ def encode_signal_batch(enc: FoldedEncoder, x: np.ndarray) -> np.ndarray:
             else:
                 h = layer.forward(tensors, None, h, False)[0]
         out.append(h)
-    return np.concatenate(out, axis=0)
+    return np.concatenate(out, axis=0).astype(np.float64, copy=False)
 
 
 def tokenize_report(text: str) -> list[str]:

@@ -1,4 +1,4 @@
-"""Minimal float64 layer primitives with explicit reverse-mode backward passes.
+"""Minimal numpy layer primitives with explicit reverse-mode backward passes.
 
 Each layer is a stateless object: ``forward`` returns the output plus a cache
 of the intermediate activations that ``backward`` needs; a chain of layers
@@ -20,6 +20,11 @@ batch norm: ``encoder.fold_signal_encoder`` folds each one's running
 statistics into the conv before it, and the folded tensors run through the
 same ``Conv1d``, ``ReLU``, ``GlobalAvgPool`` and ``Linear`` forward code
 (``train=False``), with ``ResidualBlock.infer`` wiring a block.
+
+Training runs in float64: the encoder casts every batch to it, and the
+parameters, gradients and tapes are float64. A forward pass allocates its
+padding and outputs in its input's dtype, so inference runs at whatever
+dtype its input and tensors share (``encoder.fold_signal_encoder``).
 
 To save allocations, some layers write their result over an array they were
 handed: batch norm over the convolution output it normalizes, ReLU over its
@@ -63,7 +68,7 @@ class Conv1d:
             raise ShapeError(f"{self.name}: expected {self.c_in} channels, got {c}")
         k, s, p = self.kernel, self.stride, self.pad
         l_out = (length + 2 * p - k) // s + 1
-        xp = np.zeros((c, b, length + 2 * p))
+        xp = np.zeros((c, b, length + 2 * p), x.dtype)
         xp[:, :, p : p + length] = x
         w = params[f"{self.name}.weight"].reshape(self.c_out, c * k)
         # im2col in one copy: tap j of a taps view of xp is xp[:, :, j::s];
@@ -78,7 +83,7 @@ class Conv1d:
             # one GEMM per window, written into that window's slice of y
             taps = np.ndarray((b, c, k, l_out), xp.dtype, xp, 0, (sb, sc, sl, s * sl))
             cols = np.ascontiguousarray(taps).reshape(b, c * k, l_out)
-            y = np.empty((self.c_out, b, l_out))
+            y = np.empty((self.c_out, b, l_out), x.dtype)
             np.matmul(w, cols, out=y.transpose(1, 0, 2))
         y += params[f"{self.name}.bias"][:, None, None]
         return y, (cols, (c, b, length))
@@ -209,7 +214,7 @@ class Linear:
             # one matrix-vector product per row: BLAS rounds a GEMM
             # differently for different row counts, and a scored window must
             # not depend on the batch it came in
-            y = np.empty((x.shape[0], self.n_out))
+            y = np.empty((x.shape[0], self.n_out), x.dtype)
             for row, out in zip(x, y):
                 np.matmul(w, row, out=out)
         y += params[f"{self.name}.bias"]

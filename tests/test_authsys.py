@@ -108,6 +108,17 @@ def test_threshold_splits_accept_and_reject(labeled, registry):
     assert not authenticate(stricter, seg).accepted
 
 
+def test_registry_scores_at_float32(labeled, registry):
+    """The registry's fold is float32 while its stored weights and
+    prototypes stay float64, and scores come back as float64."""
+    assert {t.dtype for t in registry.encoder.tensors.values()} == {np.dtype(np.float32)}
+    tensors = (*registry.params.params.values(), *registry.params.buffers.values())
+    assert {t.dtype for t in tensors} == {np.dtype(np.float64)}
+    assert registry.prototypes.dtype == np.float64
+    probs, _ = score_batch(registry, np.stack([seg.window for seg, _ in labeled[:5]]))
+    assert probs.dtype == np.float64
+
+
 def test_score_batch_chunks_large_batches(labeled, registry):
     windows = np.stack([labeled[i % len(labeled)][0].window
                         for i in range(301)])
@@ -128,7 +139,8 @@ def test_registry_fold_follows_its_params(labeled, registry):
     windows = np.stack([seg.window for seg, _ in labeled[:20]])
     probs, preds = score_batch(swapped, windows)
     want_probs, want_preds = score_embeddings(
-        registry, encode_signal_batch(fold_signal_encoder(other), windows))
+        registry, encode_signal_batch(fold_signal_encoder(other, registry.encoder.dtype),
+                                      windows))
     assert np.array_equal(probs, want_probs)
     assert np.array_equal(preds, want_preds)
     assert not np.array_equal(probs, score_batch(registry, windows)[0])
@@ -176,30 +188,52 @@ def _patch_scores(monkeypatch, probs, preds):
     monkeypatch.setattr(authsys, "score_batch", fake)
 
 
+def _enroll_on_stub_validation(labeled):
+    params = init_params(SMALL_ENC, 2 * HALF, seed=21)
+    cfg = FinetuneConfig(batch_size=8, epochs=1, learning_rate=5e-4)
+    return enroll(labeled, params, cfg, 21, 250.0, validation=_stub_validation(20))
+
+
 def test_calibration_picks_95th_percentile_score(monkeypatch, registry, caplog):
     probs = np.linspace(0.99, 0.80, 20)  # unique, descending
     _patch_scores(monkeypatch, probs, np.ones(20, dtype=int))
     with caplog.at_level(logging.WARNING, logger="ecgauth.authsys"):
-        delta = calibrate_threshold(registry, _stub_validation(20))
+        delta, source = calibrate_threshold(registry, _stub_validation(20))
     assert not caplog.records  # only the fallback warns
     # 19 of 20 (95%) must clear the threshold: the 19th-highest score wins
     assert delta == pytest.approx(sorted(probs)[1])
+    assert source == "calibrated"
+
+
+def test_enroll_records_a_calibrated_threshold(monkeypatch, labeled, tmp_path):
+    probs = np.linspace(0.99, 0.80, 20)
+    _patch_scores(monkeypatch, probs, np.ones(20, dtype=int))
+    reg = _enroll_on_stub_validation(labeled)
+    assert reg.threshold == pytest.approx(sorted(probs)[1])
+    assert reg.metadata["threshold_source"] == "calibrated"
+    save_registry(reg, tmp_path / "ids.reg")
+    assert load_registry(tmp_path / "ids.reg").metadata == reg.metadata
 
 
 def test_calibration_falls_back_when_everything_is_wrong(monkeypatch, registry,
-                                                        caplog):
+                                                        labeled, caplog):
     probs = np.linspace(0.99, 0.80, 20)
     _patch_scores(monkeypatch, probs, np.full(20, 2, dtype=int))  # truth is 1
     with caplog.at_level(logging.WARNING, logger="ecgauth.authsys"):
-        assert calibrate_threshold(registry, _stub_validation(20)) == 0.5
+        assert calibrate_threshold(registry, _stub_validation(20)) == (0.5, "fallback")
     assert [r.levelno for r in caplog.records] == [logging.WARNING]
     assert "falling back to 0.5" in caplog.text
+    # the registry records the fallback, not only the log
+    reg = _enroll_on_stub_validation(labeled)
+    assert reg.threshold == 0.5
+    assert reg.metadata["threshold_source"] == "fallback"
 
 
 def test_calibration_clamps_saturated_scores(monkeypatch, registry):
     _patch_scores(monkeypatch, np.ones(20), np.ones(20, dtype=int))
-    delta = calibrate_threshold(registry, _stub_validation(20))
+    delta, source = calibrate_threshold(registry, _stub_validation(20))
     assert delta == 1.0 - 1e-9
+    assert source == "calibrated"
 
 
 def test_calibration_requires_samples(registry):
@@ -213,7 +247,7 @@ def test_calibration_rate_counts_only_correct(monkeypatch, registry):
     preds = np.ones(20, dtype=int)
     preds[:2] = 2
     _patch_scores(monkeypatch, probs, preds)
-    assert calibrate_threshold(registry, _stub_validation(20)) == 0.5
+    assert calibrate_threshold(registry, _stub_validation(20)) == (0.5, "fallback")
 
 
 # ----------------------------------------------------------------------

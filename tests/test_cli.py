@@ -201,6 +201,33 @@ def test_auth_reports_each_beat(workspace, text_record, capsys):
     assert all(pattern.match(line) for line in lines)
 
 
+@pytest.mark.parametrize("bad", [["nope"], ["auth", "--config"],
+                                 ["eval", "--seed", "two"]])
+def test_bad_command_line_leaves_the_parser_usable(workspace, text_record, capsys, bad):
+    """The parser is built once per process: a command line it rejects
+    (exit 2) does not spoil the next call in the same process."""
+    cfg_path, _ = workspace
+    with pytest.raises(SystemExit) as exc:
+        main(bad)
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["auth", "--config", str(cfg_path), str(text_record)]) == 0
+    assert capsys.readouterr().out.startswith("beat=0 ")
+
+
+def test_finetune_prints_the_threshold_source(workspace, tmp_path, capsys):
+    cfg_path, out = workspace
+    target = _copy_corpus(out, tmp_path / "again")
+    shutil.copy(out / "pretrain.ckpt", target / "pretrain.ckpt")
+    assert main(["finetune", "--config", str(cfg_path), "--out", str(target)]) == 0
+    m = re.search(r"threshold (\d\.\d{9}) \((calibrated|fallback)\);",
+                  capsys.readouterr().out)
+    registry = load_registry(target / "registry.reg")
+    assert m and m[2] == registry.metadata["threshold_source"]
+    assert float(m[1]) == pytest.approx(registry.threshold, abs=1e-9)
+    assert (target / "registry.reg").read_bytes() == (out / "registry.reg").read_bytes()
+
+
 def test_auth_segments_with_the_registry_window(workspace, text_record,
                                                 tmp_path):
     """The beat window comes from the registry, not from corpus.half_window."""

@@ -179,6 +179,51 @@ def test_folded_encoding_matches_unfolded_reference():
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), n
 
 
+# ----------------------------------------------------------------------
+# float32 inference (what a registry scores with)
+
+def test_float32_fold_computes_in_float32_and_returns_float64():
+    mp = _full_width_params()
+    before = mp.checksum()
+    enc = fold_signal_encoder(mp, np.float32)
+    assert mp.checksum() == before
+    assert enc.dtype == np.float32
+    assert {t.dtype for t in enc.tensors.values()} == {np.dtype(np.float32)}
+    assert fold_signal_encoder(mp).tensors.keys() == enc.tensors.keys()
+    emb = encode_signal_batch(enc, np.random.default_rng(0).normal(size=(3, 64)))
+    assert emb.dtype == np.float64 and emb.shape == (3, 128)
+
+
+def test_float32_single_matches_batch():
+    enc = fold_signal_encoder(_full_width_params(), np.float32)
+    x = np.random.default_rng(3).normal(size=(40, 64))
+    batch = encode_signal_batch(enc, x)
+    for i in range(40):
+        assert np.array_equal(encode_signal_batch(enc, x[i : i + 1])[0], batch[i]), i
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 300])
+def test_float32_encoding_does_not_depend_on_trunk_chunk_size(chunk, monkeypatch):
+    enc = fold_signal_encoder(_full_width_params(), np.float32)
+    x = np.random.default_rng(2).normal(size=(300, 64))
+    want = encode_signal_batch(enc, x)
+    monkeypatch.setattr(encoder_module, "_ENCODE_CHUNK", chunk)
+    assert np.array_equal(encode_signal_batch(enc, x), want)
+
+
+def test_float32_fold_matches_float64_fold():
+    """float32 inference moves an embedding by rounding only. Measured on
+    these inputs: at most 1.2e-7 of the largest embedding value, about one
+    float32 epsilon. The bound, 1e-6, is about 8 float32 epsilons."""
+    mp = _full_width_params()
+    enc64, enc32 = fold_signal_encoder(mp), fold_signal_encoder(mp, np.float32)
+    for n in (1, 33, 300):
+        x = np.random.default_rng(n).normal(size=(n, 64))
+        want = encode_signal_batch(enc64, x)
+        got = encode_signal_batch(enc32, x)
+        assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max(), n
+
+
 def test_layer_graph_is_shared_per_architecture():
     assert build_model(small_params(0)) is build_model(small_params(1))
     other = init_params(SMALL, 2 * LEN, seed=0)

@@ -150,6 +150,25 @@ def test_finetune_only_updates_signal_branch(labeled):
     assert all(np.array_equal(before[k], mp.params[k]) for k in before)
 
 
+def test_training_stays_float64(labeled):
+    """Training casts every batch to float64, whatever dtype it is handed,
+    so its activations, tensors and prototypes are float64 end to end."""
+    mp = _init_mp(labeled)
+    model = build_model(mp)
+    x = np.stack([seg.window for seg, _ in labeled[:8]]).astype(np.float32)
+    h, tape = model.forward_signal(mp, x, project=True)
+    assert h.dtype == np.float64
+    grads = model.backward_signal(mp, np.ones_like(h), tape)
+    assert {g.dtype for g in grads.values()} == {np.dtype(np.float64)}
+    pre, _ = pretrain(_pairs(labeled), PretrainConfig(batch_size=8, epochs=1),
+                      2, encoder_config=SMALL_ENC)
+    tuned, _, protos, _ = finetune(labeled, pre, FinetuneConfig(batch_size=8, epochs=1), 3)
+    for trained in (pre, tuned):
+        tensors = (*trained.params.values(), *trained.buffers.values())
+        assert {t.dtype for t in tensors} == {np.dtype(np.float64)}
+    assert protos.dtype == np.float64
+
+
 def test_finetune_rejects_thin_classes(labeled):
     thin = labeled + [(labeled[0][0], 99)]  # one lone segment for id 99
     with pytest.raises(ConfigurationError):
