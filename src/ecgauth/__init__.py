@@ -75,11 +75,8 @@ from .authsys import (
 from .metrics import (
     OPEN,
     OpenSetCurve,
-    ScoredSample,
-    ccr,
     closed_set_accuracy,
     far,
-    fpr,
     oscr,
     tnr,
     write_embeddings_csv,

@@ -145,18 +145,13 @@ def enroll(labeled, params: ModelParams, cfg: FinetuneConfig, seed: int,
     whether it fell back. Deterministic for fixed data, cfg and seed.
     """
     tuned, ids, prototypes, _ = finetune(labeled, params, cfg, seed)
-    registry = Registry(
-        params=tuned,
-        ids=ids,
-        prototypes=prototypes,
-        threshold=_FALLBACK_THRESHOLD,
-        fs=fs,
-        metadata={"seed": seed,
-                  "config_digest": _config_digest(cfg, seed, params)},
-    )
-    registry.threshold, registry.metadata["threshold_source"] = (
-        calibrate_threshold(registry, validation))
-    return registry
+    metadata = {"seed": seed, "config_digest": _config_digest(cfg, seed, params)}
+    # the threshold does not change a score, so the draft's is a placeholder
+    draft = Registry(params=tuned, ids=ids, prototypes=prototypes,
+                     threshold=_FALLBACK_THRESHOLD, fs=fs, metadata=metadata)
+    threshold, source = calibrate_threshold(draft, validation)
+    return dataclasses.replace(draft, threshold=threshold,
+                               metadata={**metadata, "threshold_source": source})
 
 
 def score_embeddings(registry: Registry, emb: np.ndarray):
@@ -183,11 +178,8 @@ def authenticate(registry: Registry, segment) -> Decision:
 
 
 def authenticate_batch(registry: Registry, segments) -> list[Decision]:
-    """One Decision per segment, computed with a single batched forward pass."""
-    windows = np.stack([
-        s.window if hasattr(s, "window") else np.asarray(s) for s in segments
-    ])
-    probs, preds = score_batch(registry, windows)
+    """One Decision per BeatSegment, computed with a single batched forward pass."""
+    probs, preds = score_batch(registry, np.stack([s.window for s in segments]))
     return [
         Decision(accepted=float(p) >= registry.threshold,
                  predicted_id=int(c), max_prob=float(p))

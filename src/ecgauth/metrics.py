@@ -1,12 +1,14 @@
 """Closed- and open-set evaluation: CCR, FPR, OSCR, FAR, TNR, and exports.
 
-Samples carry the maximum softmax probability, the predicted identity, and
-the true identity (or the OPEN marker for identities outside the registry).
-All metrics are pure functions of the sample list. The threshold sweep
-enumerates every distinct score, so the OSCR area is exact rather than a
-discretized approximation; it sorts the correct-known and the open scores
-once and reads the count at or above every threshold from one binary
-search, so a sweep costs O(N log N) rather than one pass per threshold.
+Every metric takes three aligned arrays, one entry per evaluated segment:
+``scores`` (the winning probability, in (0, 1]), ``predicted`` (the
+predicted identity) and ``truth`` (the true identity, or the OPEN marker
+for identities outside the registry). All metrics are pure functions of
+those arrays. The threshold sweep enumerates every distinct score, so the
+OSCR area is exact rather than a discretized approximation; it sorts the
+correct-known and the open scores once and reads the count at or above
+every threshold from one binary search, so a sweep costs O(N log N) rather
+than one pass per threshold.
 """
 
 from __future__ import annotations
@@ -16,23 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomic import atomic_open
-from .errors import InputError, ParameterError
+from .errors import InputError, ParameterError, ShapeError
 
 #: true_id marker for samples whose identity is not enrolled.
 OPEN = -1
-
-
-@dataclass(frozen=True)
-class ScoredSample:
-    """One evaluated segment: winning probability, prediction, ground truth."""
-
-    max_prob: float
-    predicted_id: int
-    true_id: int
-
-    def __post_init__(self):
-        if not 0.0 < self.max_prob <= 1.0:
-            raise ParameterError("max_prob must lie in (0, 1]")
 
 
 @dataclass
@@ -47,14 +36,20 @@ class OpenSetCurve:
     oscr_area: float
 
 
-def _columns(samples):
-    """(every score, sorted correct-known scores, sorted open scores, known count)."""
-    probs = np.array([s.max_prob for s in samples], dtype=np.float64)
-    is_open = np.array([s.true_id == OPEN for s in samples], dtype=bool)
-    hit = np.array([s.predicted_id == s.true_id for s in samples], dtype=bool)
-    hit &= ~is_open
+def _columns(scores, predicted, truth):
+    """(every score, sorted correct-known scores, sorted open scores, known
+    count), after checking that the arrays align and every score lies in
+    (0, 1]."""
+    scores = np.asarray(scores, dtype=np.float64)
+    predicted, truth = np.asarray(predicted), np.asarray(truth)
+    if scores.ndim != 1 or predicted.shape != scores.shape or truth.shape != scores.shape:
+        raise ShapeError("scores, predicted and truth must be aligned 1-D arrays")
+    if not np.all((scores > 0.0) & (scores <= 1.0)):
+        raise ParameterError("scores must lie in (0, 1]")
+    is_open = truth == OPEN
+    hit = ~is_open & (predicted == truth)
     n_known = int(is_open.size - is_open.sum())
-    return probs, np.sort(probs[hit]), np.sort(probs[is_open]), n_known
+    return scores, np.sort(scores[hit]), np.sort(scores[is_open]), n_known
 
 
 def _at_or_above(ordered: np.ndarray, delta):
@@ -62,50 +57,48 @@ def _at_or_above(ordered: np.ndarray, delta):
     return ordered.size - np.searchsorted(ordered, delta, side="left")
 
 
-def ccr(samples, delta: float) -> float:
+def ccr(scores, predicted, truth, delta: float) -> float:
     """Fraction of known samples classified correctly with confidence >= delta."""
-    _, hits, _, n_known = _columns(samples)
+    _, hits, _, n_known = _columns(scores, predicted, truth)
     if not n_known:
         raise InputError("CCR needs at least one known-identity sample")
     return int(_at_or_above(hits, delta)) / n_known
 
 
-def fpr(samples, delta: float) -> float:
+def fpr(scores, predicted, truth, delta: float) -> float:
     """Fraction of open samples whose confidence clears delta."""
-    _, _, opens, _ = _columns(samples)
+    _, _, opens, _ = _columns(scores, predicted, truth)
     if not opens.size:
         raise InputError("FPR needs at least one open sample")
     return int(_at_or_above(opens, delta)) / opens.size
 
 
-def tnr(samples, delta: float) -> float:
+def tnr(scores, predicted, truth, delta: float) -> float:
     """Fraction of open samples rejected at delta; exactly 1 - fpr."""
-    return 1.0 - fpr(samples, delta)
+    return 1.0 - fpr(scores, predicted, truth, delta)
 
 
-def far(samples, delta: float) -> float:
+def far(scores, predicted, truth, delta: float) -> float:
     """Accepted open samples over the whole test population.
 
     The denominator is |known| + |open|, not the more common |open|; this
     unusual convention is kept deliberately.
     """
-    _, _, opens, n_known = _columns(samples)
+    _, _, opens, n_known = _columns(scores, predicted, truth)
     if not n_known or not opens.size:
         raise InputError("FAR needs both known and open samples")
     return int(_at_or_above(opens, delta)) / (n_known + opens.size)
 
 
-def closed_set_accuracy(samples) -> float:
+def closed_set_accuracy(scores, predicted, truth) -> float:
     """Threshold-free fraction of known samples whose predicted id is right."""
-    known = [s for s in samples if s.true_id != OPEN]
-    if not known:
+    _, hits, _, n_known = _columns(scores, predicted, truth)
+    if not n_known:
         raise InputError("closed-set metrics need known samples")
-    truth = np.array([s.true_id for s in known])
-    pred = np.array([s.predicted_id for s in known])
-    return float((truth == pred).mean())
+    return hits.size / n_known
 
 
-def oscr(samples) -> OpenSetCurve:
+def oscr(scores, predicted, truth) -> OpenSetCurve:
     """Sweep every distinct score (plus 0 and 1) and integrate CCR over FPR.
 
     The area is the trapezoidal integral of the swept (FPR, CCR) points,
@@ -113,10 +106,10 @@ def oscr(samples) -> OpenSetCurve:
     pins FPR=1, so the integral covers [0, 1] exactly. Every rate equals
     what ccr/fpr/far/tnr return at that threshold.
     """
-    probs, hits, opens, n_known = _columns(samples)
+    scores, hits, opens, n_known = _columns(scores, predicted, truth)
     if not n_known or not opens.size:
         raise InputError("OSCR needs both known and open samples")
-    thresholds = np.unique(np.concatenate([probs, [0.0, 1.0]]))
+    thresholds = np.unique(np.concatenate([scores, [0.0, 1.0]]))
     # integer counts over the single-threshold denominators: each division
     # is exact-operand IEEE division, so the rates are bit-equal to theirs
     ccr_v = _at_or_above(hits, thresholds) / n_known

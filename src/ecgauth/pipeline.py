@@ -20,7 +20,6 @@ import hashlib
 import json
 import logging
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,7 +32,6 @@ from .errors import ConfigurationError, DependencyError, InputError, StateError
 from .metrics import (
     OPEN,
     OpenSetCurve,
-    ScoredSample,
     closed_set_accuracy,
     far,
     format_curve,
@@ -280,10 +278,10 @@ def synth_identity(cfg: RunConfig, subject_id: int) -> EcgRecord:
     spec = cfg.corpus
     rng = np.random.default_rng([cfg.seed, subject_id])
     morph = IdentityMorphology.random(rng)
-    morph.noise_std_mv *= spec.noise_scale
-    morph.hr_jitter_bpm *= spec.jitter_scale
     return synth_ecg(
-        morph,
+        dataclasses.replace(morph,
+                            noise_std_mv=morph.noise_std_mv * spec.noise_scale,
+                            hr_jitter_bpm=morph.hr_jitter_bpm * spec.jitter_scale),
         n_beats=spec.beats_per_identity,
         fs=spec.fs,
         seed=cfg.seed * _SYNTH_SEED_STRIDE + subject_id,
@@ -532,14 +530,22 @@ class RatioEval:
 @dataclass
 class EvalOutcome:
     """Everything cmd_eval writes: per-ratio metrics, raw embeddings, and the
-    scores of every evaluated open identity."""
+    score table.
+
+    The table has one row per evaluated beat: the known test split first,
+    then every evaluated open identity's beats in id order. ``scores``,
+    ``predicted`` and ``truth`` (OPEN on open rows) are the metrics'
+    columns; ``subjects`` is each row's corpus identity.
+    """
 
     threshold: float
     ratios: list[RatioEval]
     embedding_true_ids: list[int]
     embeddings: np.ndarray
-    known_count: int
-    open_scores: dict[int, list[ScoredSample]]
+    scores: np.ndarray
+    predicted: np.ndarray
+    truth: np.ndarray
+    subjects: np.ndarray
 
 
 def evaluate(corpus: Corpus, cfg: RunConfig, registry: Registry,
@@ -549,10 +555,11 @@ def evaluate(corpus: Corpus, cfg: RunConfig, registry: Registry,
     Known samples come from the enrolled identities' test split; open
     samples use every beat of the first ratio*n_enrolled open identities
     (id order). Each window is encoded once: the known split in one batch,
-    each open identity in its own. Scores are reused across ratios and the
-    exported embeddings come from the same pass, so the sweep costs one
-    encoder pass plus one sort per ratio. A corpus sampled at another rate
-    than the registry's ``fs`` is an InputError.
+    each open identity in its own. Every row is then scored in one call, so
+    each ratio's samples are a prefix of the score table and the exported
+    embeddings are the first ratio's prefix: the sweep costs one encoder
+    pass plus one sort per ratio. A corpus sampled at another rate than the
+    registry's ``fs`` is an InputError.
     """
     if corpus.open_set is None:
         raise StateError("evaluate needs the open identities, but the corpus "
@@ -571,56 +578,46 @@ def evaluate(corpus: Corpus, cfg: RunConfig, registry: Registry,
         )
 
     _, _, test = make_splits(corpus)
-    known_emb = encode_signal_batch(registry.encoder,
-                                    np.stack([s.window for s, _ in test]))
-    probs, preds = score_embeddings(registry, known_emb)
-    known_samples = [
-        ScoredSample(float(p), int(c), sid)
-        for p, c, (_, sid) in zip(probs, preds, test)
-    ]
-
-    # the exported embeddings: the known split, then the first ratio's
-    # open identities in id order
-    first_ids = all_open[: ratios[0] * n_enrolled]
-    embed_parts = [known_emb]
-    per_open: dict[int, list[ScoredSample]] = {}
-    for sid in all_open[:needed]:
-        emb = encode_signal_batch(
-            registry.encoder,
-            np.stack([s.window for s in corpus.open_set[sid].segments]))
-        probs, preds = score_embeddings(registry, emb)
-        per_open[sid] = [ScoredSample(float(p), int(c), OPEN)
-                         for p, c in zip(probs, preds)]
-        if sid in first_ids:
-            embed_parts.append(emb)
+    groups = [[s for s, _ in test]] + [corpus.open_set[sid].segments
+                                       for sid in all_open[:needed]]
+    emb = np.concatenate([
+        encode_signal_batch(registry.encoder, np.stack([s.window for s in segs]))
+        for segs in groups])
+    scores, predicted = score_embeddings(registry, emb)
+    subjects = np.array([sid for _, sid in test] + [
+        sid for sid, segs in zip(all_open, groups[1:]) for _ in segs])
+    truth = subjects.copy()
+    truth[len(test):] = OPEN
+    # rows[k]: the table's length with the first k open identities
+    rows = np.cumsum([len(segs) for segs in groups])
 
     results = []
     for ratio in ratios:
-        ids = all_open[: ratio * n_enrolled]
-        samples = known_samples + [s for sid in ids for s in per_open[sid]]
-        curve = oscr(samples)
+        n = rows[ratio * n_enrolled]
+        table = scores[:n], predicted[:n], truth[:n]
+        curve = oscr(*table)
         results.append(RatioEval(
             ratio=ratio,
-            open_id_count=len(ids),
+            open_id_count=ratio * n_enrolled,
             curve=curve,
-            accuracy=closed_set_accuracy(samples),
-            tnr=tnr(samples, registry.threshold),
-            far=far(samples, registry.threshold),
+            accuracy=closed_set_accuracy(*table),
+            tnr=tnr(*table, registry.threshold),
+            far=far(*table, registry.threshold),
         ))
         logger.info("ratio 1:%d -> acc %.4f oscr %.4f tnr %.4f far %.4f",
                     ratio, results[-1].accuracy, curve.oscr_area,
                     results[-1].tnr, results[-1].far)
 
-    embed_true = [sid for _, sid in test]
-    for sid in first_ids:
-        embed_true += [OPEN] * len(per_open[sid])
+    n = rows[ratios[0] * n_enrolled]
     return EvalOutcome(
         threshold=registry.threshold,
         ratios=results,
-        embedding_true_ids=embed_true,
-        embeddings=np.concatenate(embed_parts, axis=0),
-        known_count=len(known_samples),
-        open_scores=per_open,
+        embedding_true_ids=truth[:n].tolist(),
+        embeddings=emb[:n],
+        scores=scores,
+        predicted=predicted,
+        truth=truth,
+        subjects=subjects,
     )
 
 
@@ -664,18 +661,21 @@ def open_identity_report(outcome: EvalOutcome) -> dict:
     ``beats``. JSON-serializable and deterministic.
     """
     identities = []
-    for sid, samples in sorted(outcome.open_scores.items()):
-        absorbed = Counter(s.predicted_id for s in samples
-                           if s.max_prob >= outcome.threshold)
+    is_open = outcome.truth == OPEN
+    accepted = is_open & (outcome.scores >= outcome.threshold)
+    for sid in np.unique(outcome.subjects[is_open]):
+        mine = is_open & (outcome.subjects == sid)
+        ids, counts = np.unique(outcome.predicted[mine & accepted],
+                                return_counts=True)
         identities.append({
-            "id": sid,
-            "beats": len(samples),
-            "accepted": sum(absorbed.values()),
-            "absorbed_by": {str(k): n for k, n in sorted(absorbed.items())},
+            "id": int(sid),
+            "beats": int(mine.sum()),
+            "accepted": int(counts.sum()),
+            "absorbed_by": {str(k): int(n) for k, n in zip(ids, counts)},
         })
     return {
         "threshold": outcome.threshold,
-        "known_beats": outcome.known_count,
+        "known_beats": int((~is_open).sum()),
         "open_identities": identities,
     }
 

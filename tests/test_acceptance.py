@@ -30,7 +30,7 @@ from ecgauth.losses import (
     prototype_loss_grad,
     repulsion_loss_grad,
 )
-from ecgauth.metrics import OPEN, ScoredSample, oscr
+from ecgauth.metrics import OPEN, oscr
 from ecgauth.signals import (
     FiducialFeatures,
     IdentityMorphology,
@@ -229,16 +229,16 @@ def test_medoid_matches_exhaustive_search():
 # metric oracle
 
 
-def _brute_oscr_area(samples):
+def _brute_oscr_area(scores, predicted, truth):
     """Independent enumeration of every distinct threshold, pure Python."""
-    known = [s for s in samples if s.true_id != OPEN]
-    opens = [s for s in samples if s.true_id == OPEN]
-    thresholds = sorted({s.max_prob for s in samples} | {0.0, 1.0})
+    rows = list(zip(scores.tolist(), predicted.tolist(), truth.tolist()))
+    known = [r for r in rows if r[2] != OPEN]
+    opens = [r for r in rows if r[2] == OPEN]
+    thresholds = sorted({r[0] for r in rows} | {0.0, 1.0})
     points = [(0.0, 0.0)]
     for d in thresholds:
-        correct = sum(1 for s in known
-                      if s.predicted_id == s.true_id and s.max_prob >= d)
-        accepted_open = sum(1 for s in opens if s.max_prob >= d)
+        correct = sum(1 for s, p, t in known if p == t and s >= d)
+        accepted_open = sum(1 for s, _, _ in opens if s >= d)
         points.append((accepted_open / len(opens), correct / len(known)))
     points.sort()
     return sum((x1 - x0) * (y0 + y1) / 2.0
@@ -251,19 +251,18 @@ def test_oscr_matches_brute_force_enumeration():
     worst = 0.0
     for i in range(n_sets):
         n_known, n_open = int(rng.integers(2, 41)), int(rng.integers(2, 41))
-        samples = []
+        scores, predicted, truth = [], [], []
         for k in range(n_known + n_open):
             if i % 3 == 0:
                 prob = float(rng.integers(1, 6)) / 5.0  # duplicate thresholds
             else:
                 prob = float(rng.uniform(1e-6, 1.0))
-            samples.append(ScoredSample(
-                max_prob=prob,
-                predicted_id=int(rng.integers(0, 5)),
-                true_id=int(rng.integers(0, 5)) if k < n_known else OPEN,
-            ))
-        curve = oscr(samples)
-        worst = max(worst, abs(curve.oscr_area - _brute_oscr_area(samples)))
+            scores.append(prob)
+            predicted.append(int(rng.integers(0, 5)))
+            truth.append(int(rng.integers(0, 5)) if k < n_known else OPEN)
+        table = np.array(scores), np.array(predicted), np.array(truth)
+        curve = oscr(*table)
+        worst = max(worst, abs(curve.oscr_area - _brute_oscr_area(*table)))
         assert worst <= 1e-12
         assert np.all(curve.tnr + curve.fpr == 1.0)
         assert np.all(np.diff(curve.thresholds) > 0)

@@ -160,7 +160,7 @@ def test_open_identities_account_for_far(workspace, tmp_path):
     registry = load_registry(out / "registry.reg")
     outcome = pipeline.evaluate(pipeline.load_corpus(out / "corpus"), cfg, registry)
     registry.threshold = float(np.median(
-        [s.max_prob for ss in outcome.open_scores.values() for s in ss]))
+        outcome.scores[outcome.truth == OPEN]))
     save_registry(registry, target / "registry.reg")
     assert _run("eval", "--config", str(cfg_path), "--out", str(target)) == 0
 

@@ -63,3 +63,25 @@ def test_benchmark_conv_flop_counts_are_exact(monkeypatch, kernel, stride):
     assert y.shape[2] == l_out
     want = 2 * b * c_out * c_in * kernel * l_out
     assert flop == {"nn.Conv1d.fwd": want, "nn.Conv1d.bwd": 2 * want}
+
+
+def test_benchmark_oscr_counts_follow_the_score_table(monkeypatch):
+    """The traced run's metrics.oscr counters read the row count from the
+    first argument, the scores: samples must be the table's rows and
+    thresholds the swept curve's length."""
+    tracing = _tracing(monkeypatch)
+    rng = np.random.default_rng(5)
+    n = 37
+    scores = rng.integers(1, 9, size=n) / 8.0   # duplicates shrink the sweep
+    predicted = rng.integers(0, 3, size=n)
+    truth = np.where(np.arange(n) < 20, rng.integers(0, 3, size=n), ecgauth.OPEN)
+    tracer = tracing.Tracer()
+    tracer.install(ecgauth)
+    try:
+        curve = ecgauth.metrics.oscr(scores, predicted, truth)
+    finally:
+        tracer.uninstall()
+    counts = [s.counts for s in tracer.spans if s.name == "metrics.oscr"]
+    t = curve.thresholds.size
+    assert t < n
+    assert counts == [{"samples": n, "thresholds": t, "threshold_samples": n * t}]
